@@ -167,10 +167,14 @@ void QueryService::ComputeTaskKey(Task& task) {
 
 void QueryService::RecordRecipe(const std::string& key,
                                 const QueryRequest& request) {
+  // A recipe keeps the inputs, not the client's trace recorder: a replay
+  // must not record into a trace whose response was already sent.
+  QueryRequest recipe = request;
+  recipe.trace.reset();
   std::lock_guard<std::mutex> lock(recipes_mutex_);
   auto it = recipes_.find(key);
   if (it != recipes_.end()) {
-    it->second = request;  // freshen the inputs; keep the FIFO position
+    it->second = std::move(recipe);  // freshen; keep the FIFO position
     return;
   }
   if (recipes_.size() >= kMaxRecipes) {
@@ -178,7 +182,7 @@ void QueryService::RecordRecipe(const std::string& key,
     recipe_order_.pop_front();
   }
   recipe_order_.push_back(key);
-  recipes_.emplace(key, request);
+  recipes_.emplace(key, std::move(recipe));
 }
 
 std::vector<std::pair<std::string, QueryRequest>>

@@ -135,7 +135,8 @@ class QueryService {
   /// bounded FIFO snapshot. A store entry deliberately persists no
   /// formulas, so resuming one needs the guards/class only a request can
   /// supply — the maintenance loop replays these recipes (strategy forced
-  /// to eager) to drive partial persisted graphs to completion.
+  /// to eager) to drive partial persisted graphs to completion. Recipes
+  /// are stored untraced: a replay never records into a client's trace.
   std::vector<std::pair<std::string, QueryRequest>> SnapshotRecipes() const;
 
   /// Promotes the persisted graph for `request`'s key into the memory

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "solver/store.h"
@@ -38,15 +39,26 @@ std::string GraphCache::Key(const SolverBackend& backend, int k,
   key += '\x1f';
   key += std::to_string(k);
   const Schema& schema = *backend.schema();
+  // Slots holding the same formula object print it once; later slots copy
+  // its segment (offset and length within `key`).
+  std::unordered_map<const Formula*, std::pair<std::size_t, std::size_t>>
+      segments;
   for (const FormulaRef& g : guards) {
+    auto [it, fresh] = segments.try_emplace(g.get());
+    if (!fresh) {
+      key.append(key, it->second.first, it->second.second);
+      continue;
+    }
     // Length-prefixed: printed guards embed free-text symbol names, which
     // must not be able to imitate the separator and merge two different
     // guard lists into one key.
     const std::string printed = g->ToString(schema);
+    const std::size_t begin = key.size();
     key += '\x1f';
     key += std::to_string(printed.size());
     key += ':';
     key += printed;
+    it->second = {begin, key.size() - begin};
   }
   return key;
 }

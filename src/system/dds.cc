@@ -37,13 +37,18 @@ void DdsSystem::AddRule(int from, int to, FormulaRef guard) {
 }
 
 void DdsSystem::AddRule(int from, int to, const std::string& guard_text) {
-  EnsureVarTable();
-  AddRule(from, to, ParseFormula(guard_text, *schema_, &vars_));
+  AddRule(from, to, ParseGuard(guard_text));
 }
 
 FormulaRef DdsSystem::ParseGuard(const std::string& guard_text) {
   EnsureVarTable();
-  return ParseFormula(guard_text, *schema_, &vars_);
+  auto it = parsed_guards_.find(guard_text);
+  if (it != parsed_guards_.end()) return it->second;
+  // A quantifier-free parse reads the variable table without extending it,
+  // so reparsing the same text would build an equal formula.
+  FormulaRef guard = ParseFormula(guard_text, *schema_, &vars_);
+  if (guard->IsQuantifierFree()) parsed_guards_.emplace(guard_text, guard);
+  return guard;
 }
 
 bool DdsSystem::AllGuardsQuantifierFree() const {

@@ -11,6 +11,7 @@
 #define AMALGAM_SYSTEM_DDS_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "logic/formula.h"
@@ -40,11 +41,18 @@ class DdsSystem {
   /// Adds a rule with an already-built guard.
   void AddRule(int from, int to, FormulaRef guard);
   /// Adds a rule with a guard in the parser syntax; register r is
-  /// addressable as "<name>_old" and "<name>_new".
+  /// addressable as "<name>_old" and "<name>_new". Parses through
+  /// ParseGuard, so rules with the same quantifier-free guard text share
+  /// one FormulaRef.
   void AddRule(int from, int to, const std::string& guard_text);
 
   /// Parses a guard in the same syntax and variable convention without
   /// adding a rule (used by system extensions, e.g. branching rules).
+  /// Sharing contract: a quantifier-free text is parsed once per system,
+  /// and every later call with the byte-identical text returns that same
+  /// FormulaRef (texts that differ only in spacing parse separately). A
+  /// guard with `exists` is parsed afresh on every call: each parse gives
+  /// its bound variables fresh ids, so no two calls share one.
   FormulaRef ParseGuard(const std::string& guard_text);
 
   const Schema& schema() const { return *schema_; }
@@ -86,6 +94,8 @@ class DdsSystem {
   std::vector<bool> initial_;
   std::vector<bool> accepting_;
   std::vector<TransitionRule> rules_;
+  // Quantifier-free guards parsed so far, by exact text (see ParseGuard).
+  std::unordered_map<std::string, FormulaRef> parsed_guards_;
   VarTable vars_;
   bool vars_built_ = false;
 };

@@ -8,11 +8,14 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "fraisse/data_class.h"
 #include "fraisse/relational.h"
+#include "logic/parser.h"
+#include "solver/branching.h"
 #include "solver/cache.h"
 #include "solver/emptiness.h"
 #include "system/concrete.h"
@@ -394,6 +397,115 @@ TEST(GraphCacheTest, ConcurrentColdStoreLookupsDoNotConvoyOrRace) {
   // lookups are pure memory hits.
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.Lookup(key), nullptr);
+}
+
+// The key as it was built before slots sharing a formula object printed it
+// once: every slot printed and appended on its own. GraphCache::Key must
+// stay byte-identical to it, or persisted stores stop loading.
+std::string PrintEverySlotKey(const SolverBackend& backend, int k,
+                              std::span<const FormulaRef> guards) {
+  const std::string fp = backend.Fingerprint();
+  std::string key = std::to_string(fp.size());
+  key += ':';
+  key += fp;
+  key += '\x1f';
+  key += std::to_string(k);
+  for (const FormulaRef& g : guards) {
+    const std::string printed = g->ToString(*backend.schema());
+    key += '\x1f';
+    key += std::to_string(printed.size());
+    key += ':';
+    key += printed;
+  }
+  return key;
+}
+
+std::vector<FormulaRef> RuleGuardList(const DdsSystem& system) {
+  std::vector<FormulaRef> guards;
+  for (const TransitionRule& rule : system.rules()) {
+    guards.push_back(rule.guard);
+  }
+  return guards;
+}
+
+TEST(GraphCacheTest, KeyMatchesThePrintEverySlotReference) {
+  AllStructuresClass all(GraphZooSchema());
+  const SchemaRef& schema = all.schema();
+  VarTable vars;
+  vars.Register("x0_old");
+  vars.Register("x0_new");
+  const auto parse = [&](const std::string& text) {
+    return ParseFormula(text, *schema, &vars);
+  };
+  const FormulaRef edge = parse("E(x0_old, x0_new)");
+  const FormulaRef red = parse("red(x0_new)");
+
+  std::vector<std::vector<FormulaRef>> lists;
+  // Slots sharing formula objects, in and out of runs.
+  lists.push_back({edge, edge, red, edge, red, red});
+  lists.push_back({edge});
+  lists.push_back({});
+  // Separately built formulas with the same text.
+  lists.push_back(
+      {edge, parse("E(x0_old, x0_new)"), parse("E(x0_old, x0_new)")});
+  // Respaced texts: different objects, one printed form.
+  lists.push_back({parse("E(x0_old,x0_new)"), parse("E( x0_old , x0_new )"),
+                   edge});
+  // A parsed system's rule list, which shares through DdsSystem.
+  DdsSystem chain(GraphZooSchema());
+  chain.AddRegister("x");
+  int prev = chain.AddState("q0", true);
+  for (int i = 1; i <= 8; ++i) {
+    int next = chain.AddState("q" + std::to_string(i), false, i == 8);
+    chain.AddRule(prev, next, i % 3 == 0 ? "red(x_new)" : "E(x_old, x_new)");
+    chain.AddRule(next, next, "E(x_old,x_new)");
+    prev = next;
+  }
+  lists.push_back(RuleGuardList(chain));
+  // Branching's flattened (rule, branch) list.
+  BranchingSystem branching(GraphZooSchema());
+  branching.AddRegister("x");
+  int a = branching.AddState("a", true);
+  int b = branching.AddState("b", false, true);
+  branching.AddRule(a, {{"E(x_old, x_new)", b}, {"red(x_new)", b}});
+  branching.AddRule(b, {{"red(x_new)", a}, {"E(x_old, x_new)", b},
+                        {"E(x_old,  x_new)", a}});
+  std::vector<FormulaRef> flattened;
+  for (const BranchingRule& rule : branching.rules()) {
+    for (const Branch& branch : rule.branches) {
+      flattened.push_back(branch.guard);
+    }
+  }
+  lists.push_back(flattened);
+
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    for (int k : {1, 2}) {
+      EXPECT_EQ(GraphCache::Key(all, k, lists[i]),
+                PrintEverySlotKey(all, k, lists[i]))
+          << "list " << i << ", k " << k;
+    }
+  }
+}
+
+TEST(GraphCacheTest, KeyOfAFixedSpecIsPinned) {
+  // Three rules, two of them with the same guard text. The literal was
+  // captured before guard texts were shared; a change here orphans every
+  // persisted store entry, so it needs a store format bump.
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x");
+  int a = system.AddState("a", true);
+  int b = system.AddState("b");
+  int c = system.AddState("c", false, true);
+  system.AddRule(a, b, "E(x_old, x_new)");
+  system.AddRule(b, b, "E(x_old, x_new)");
+  system.AddRule(b, c, "red(x_new)");
+  AllStructuresClass cls(GraphZooSchema());
+  EXPECT_EQ(GraphCache::Key(cls, 1, RuleGuardList(system)),
+            "35:all-structures|R2;1:E/2;3:red/1;F0;\x1f"
+            "1\x1f"
+            "9:E(v0, v1)\x1f"
+            "9:E(v0, v1)\x1f"
+            "7:red(v1)");
 }
 
 TEST(GraphCacheTest, FingerprintsAreInjectionSafe) {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -202,6 +203,44 @@ TEST(MaintenanceTest, AccessLogIsBoundedPersistedAndLruOrdered) {
   std::size_t count = 0;
   while (std::getline(in, line)) ++count;
   EXPECT_EQ(count, 4u);
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, ReplayedRecipeNeverRecordsIntoTheClientTrace) {
+  // A traced on-the-fly query leaves a partial entry and becomes the
+  // recipe that completes it. The completion run must not record into the
+  // client's recorder (its response is long gone) nor report as traced.
+  const std::string dir = MaintStoreDir("untraced_recipe");
+  ProtocolRequest parsed = ParseRequestLine(
+      R"({"kind":"system","class":"all","system":"reach_red","trace":true})");
+  ASSERT_TRUE(parsed.error.empty()) << parsed.error;
+  const std::shared_ptr<TraceRecorder> client_trace = parsed.query.trace;
+  ASSERT_NE(client_trace, nullptr);
+
+  QueryService::Options options;
+  options.store_dir = dir;
+  QueryService service(options);
+  QueryResult first = service.Submit(parsed.query).get();
+  ASSERT_TRUE(first.ok) << first.error;
+  const std::size_t client_spans = client_trace->span_count();
+  ASSERT_GT(client_spans, 0u);
+
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  MaintenanceLoop loop(service, mopts);
+  EXPECT_EQ(loop.RunOnce().partials_completed, 1u);
+  service.Drain();
+  EXPECT_EQ(client_trace->span_count(), client_spans);
+
+  const std::vector<RecentQuery> recent = service.Recent();
+  ASSERT_EQ(recent.size(), 2u);
+  const RecentQuery& client =
+      recent[0].seq < recent[1].seq ? recent[0] : recent[1];
+  const RecentQuery& replay =
+      recent[0].seq < recent[1].seq ? recent[1] : recent[0];
+  EXPECT_TRUE(client.traced);
+  EXPECT_FALSE(replay.traced);
+  EXPECT_TRUE(replay.span_rollup.empty());
   service.Shutdown();
 }
 

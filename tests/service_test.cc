@@ -7,11 +7,14 @@
 // the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fraisse/relational.h"
@@ -394,6 +397,169 @@ TEST(ServiceTest, SingleFlightKeysAgreeWithEngineKeys) {
   EXPECT_EQ(stats.cache_misses, 4u) << "one cold build per unique key";
   EXPECT_EQ(stats.single_flight_leads, 4u);
   EXPECT_EQ(stats.coalesced_joins, 4u) << "every duplicate joined its leader";
+}
+
+// One random 1-register system spec, as the protocol's rule triples.
+struct RuleSpec {
+  int from;
+  int to;
+  std::string guard;
+};
+
+std::string SpecQueryLine(const std::string& cls, const std::string& schema,
+                          int num_states, bool eager,
+                          const std::vector<RuleSpec>& rules) {
+  std::string line = "{\"kind\":\"system\",\"class\":\"" + cls +
+                     "\",\"schema\":" + schema + ",\"strategy\":\"" +
+                     (eager ? "eager" : "onthefly") +
+                     "\",\"system\":{\"registers\":[\"x0\"],\"states\":[";
+  for (int q = 0; q < num_states; ++q) {
+    if (q > 0) line += ",";
+    line += "{\"name\":\"q" + std::to_string(q) + "\"";
+    if (q == 0) line += ",\"initial\":true";
+    if (q == num_states - 1) line += ",\"accepting\":true";
+    line += "}";
+  }
+  line += "],\"rules\":[";
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (i > 0) line += ",";
+    line += "{\"from\":\"q" + std::to_string(rules[i].from) + "\",\"to\":\"q" +
+            std::to_string(rules[i].to) + "\",\"guard\":\"" + rules[i].guard +
+            "\"}";
+  }
+  return line + "]}}";
+}
+
+// The same guard with different spacing: no spaces around tokens but one
+// inside each parenthesis, then `pad` trailing spaces so every rule's
+// text is unique and nothing can be shared.
+std::string Respace(const std::string& guard, int pad) {
+  std::string out;
+  for (char c : guard) {
+    if (c == ' ') continue;
+    if (c == ')') out += ' ';
+    out += c;
+    if (c == '(') out += ' ';
+  }
+  return out + std::string(pad, ' ');
+}
+
+// Runs one spec line on a fresh service, so every query builds its own
+// graph; `key`, when given, receives the line's graph key.
+QueryResult RunSpec(const std::string& line, std::string* key = nullptr) {
+  ProtocolRequest request = ParseRequestLine(line);
+  EXPECT_TRUE(request.error.empty()) << request.error << "\n" << line;
+  QueryService service;
+  if (key != nullptr) *key = service.GraphKeyFor(request.query);
+  QueryResult result = service.Submit(std::move(request.query)).get();
+  EXPECT_TRUE(result.ok) << result.error;
+  return result;
+}
+
+bool SharesAGuard(const DdsSystem& system) {
+  const std::vector<TransitionRule>& rules = system.rules();
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    for (std::size_t j = i + 1; j < rules.size(); ++j) {
+      if (rules[i].guard == rules[j].guard) return true;
+    }
+  }
+  return false;
+}
+
+TEST(ServiceTest, MetamorphicParityUnderRespacedAndPermutedGuards) {
+  // Two relations that must never change an answer: respacing every guard
+  // text (which defeats guard sharing at parse time) must leave the graph
+  // key, the verdict and the work counts alone, and permuting the rules
+  // must leave the verdict alone. Seeded random 1-register systems with
+  // duplicated guards over three classes.
+  struct ClassCase {
+    std::string cls;
+    std::string schema;
+    std::vector<std::string> atoms;
+  };
+  const std::vector<ClassCase> cases = {
+      {"all", R"({"relations":[["E",2],["red",1]]})",
+       {"E(x0_old, x0_new)", "E(x0_new, x0_old)", "E(x0_old, x0_old)",
+        "red(x0_old)", "red(x0_new)", "x0_old = x0_new"}},
+      {"orders", R"({"relations":[["lt",2]]})",
+       {"lt(x0_old, x0_new)", "lt(x0_new, x0_old)", "x0_old = x0_new"}},
+      {"equiv", R"({"relations":[["eqv",2]]})",
+       {"eqv(x0_old, x0_new)", "eqv(x0_new, x0_old)", "x0_old = x0_new"}},
+  };
+  std::mt19937 rng(20131);
+  const auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  int nonempty = 0;
+  int empty = 0;
+  for (const ClassCase& c : cases) {
+    for (int trial = 0; trial < 8; ++trial) {
+      SCOPED_TRACE(c.cls + " trial " + std::to_string(trial));
+      // Two or three distinct guards of one or two literals each.
+      std::vector<std::string> distinct;
+      const int num_distinct = 2 + pick(2);
+      while (static_cast<int>(distinct.size()) < num_distinct) {
+        std::string guard;
+        const int lits = 1 + pick(2);
+        for (int l = 0; l < lits; ++l) {
+          std::string atom = c.atoms[pick(static_cast<int>(c.atoms.size()))];
+          if (pick(3) == 0) {
+            const std::size_t eq = atom.find(" = ");
+            atom = eq == std::string::npos
+                       ? "!" + atom
+                       : atom.substr(0, eq) + " != " + atom.substr(eq + 3);
+          }
+          guard += (l > 0 ? " & " : "") + atom;
+        }
+        if (std::find(distinct.begin(), distinct.end(), guard) ==
+            distinct.end()) {
+          distinct.push_back(guard);
+        }
+      }
+      const int num_states = 3 + pick(2);
+      std::vector<RuleSpec> rules;
+      const int num_rules = 5 + pick(4);
+      for (int i = 0; i < num_rules; ++i) {
+        rules.push_back({pick(num_states), pick(num_states),
+                         distinct[i % distinct.size()]});
+      }
+      std::vector<RuleSpec> respaced = rules;
+      for (std::size_t i = 0; i < respaced.size(); ++i) {
+        respaced[i].guard = Respace(rules[i].guard, static_cast<int>(i));
+      }
+      std::vector<RuleSpec> permuted = rules;
+      std::shuffle(permuted.begin(), permuted.end(), rng);
+      const bool eager = trial % 2 == 1;
+
+      const std::string line =
+          SpecQueryLine(c.cls, c.schema, num_states, eager, rules);
+      const std::string respaced_line =
+          SpecQueryLine(c.cls, c.schema, num_states, eager, respaced);
+      // The relation is only worth checking if sharing actually differs.
+      ASSERT_TRUE(SharesAGuard(*ParseRequestLine(line).query.system));
+      ASSERT_FALSE(
+          SharesAGuard(*ParseRequestLine(respaced_line).query.system));
+
+      std::string key;
+      std::string respaced_key;
+      const QueryResult base = RunSpec(line, &key);
+      const QueryResult same = RunSpec(respaced_line, &respaced_key);
+      const QueryResult shuffled = RunSpec(
+          SpecQueryLine(c.cls, c.schema, num_states, eager, permuted));
+      ASSERT_FALSE(key.empty());
+      EXPECT_EQ(respaced_key, key);
+      EXPECT_EQ(same.nonempty, base.nonempty);
+      EXPECT_EQ(same.stats.edges, base.stats.edges);
+      EXPECT_EQ(same.stats.configs, base.stats.configs);
+      EXPECT_EQ(same.stats.members_enumerated,
+                base.stats.members_enumerated);
+      EXPECT_EQ(shuffled.nonempty, base.nonempty);
+      ++(base.nonempty ? nonempty : empty);
+    }
+  }
+  // Both verdicts occur, so neither relation holds vacuously.
+  EXPECT_GT(nonempty, 0);
+  EXPECT_GT(empty, 0);
 }
 
 TEST(ServiceTest, MixedKeyStressAcrossTheZoos) {

@@ -1,7 +1,12 @@
-// Unit tests for src/system: system construction, concrete run semantics,
-// the paper's Example 1, and the Fact 2 existential elimination pass.
+// Unit tests for src/system: system construction, guard sharing, concrete
+// run semantics, the paper's Example 1, and the Fact 2 existential
+// elimination pass.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "solver/branching.h"
 #include "system/concrete.h"
 #include "system/dds.h"
 #include "system/zoo.h"
@@ -20,6 +25,51 @@ TEST(DdsSystemTest, BuildAndQuery) {
   EXPECT_TRUE(s.AllGuardsQuantifierFree());
   EXPECT_EQ(s.OldVar(1), 1);
   EXPECT_EQ(s.NewVar(1), 3);
+}
+
+TEST(DdsSystemTest, IdenticalQuantifierFreeGuardTextsShareOneFormula) {
+  DdsSystem s(GraphZooSchema());
+  s.AddRegister("x");
+  int a = s.AddState("a", true);
+  int b = s.AddState("b", false, true);
+  s.AddRule(a, b, "E(x_old, x_new)");
+  s.AddRule(b, b, "red(x_new)");
+  s.AddRule(b, a, "E(x_old, x_new)");
+  s.AddRule(a, a, "E(x_old,x_new)");  // respaced: a different text
+  const std::vector<TransitionRule>& rules = s.rules();
+  EXPECT_EQ(rules[0].guard, rules[2].guard);
+  EXPECT_NE(rules[0].guard, rules[1].guard);
+  EXPECT_NE(rules[0].guard, rules[3].guard);
+  // ParseGuard and AddRule draw from the same parses.
+  EXPECT_EQ(s.ParseGuard("E(x_old, x_new)"), rules[0].guard);
+  EXPECT_EQ(s.ParseGuard("red(x_new)"), rules[1].guard);
+}
+
+TEST(DdsSystemTest, QuantifiedGuardsAreNeverShared) {
+  DdsSystem s(GraphZooSchema());
+  s.AddRegister("x");
+  int a = s.AddState("a", true);
+  const std::string text = "exists z: (E(x_new, z) & red(z))";
+  s.AddRule(a, a, text);
+  s.AddRule(a, a, text);
+  EXPECT_NE(s.rules()[0].guard, s.rules()[1].guard);
+  // Each parse binds its own fresh variable.
+  EXPECT_NE(s.rules()[0].guard->exists_var(),
+            s.rules()[1].guard->exists_var());
+  EXPECT_NE(s.ParseGuard(text), s.ParseGuard(text));
+}
+
+TEST(DdsSystemTest, BranchingSkeletonSharesGuardsAcrossRulesAndBranches) {
+  BranchingSystem s(GraphZooSchema());
+  s.AddRegister("x");
+  int a = s.AddState("a", true);
+  int b = s.AddState("b", false, true);
+  s.AddRule(a, {{"E(x_old, x_new)", b}, {"red(x_new)", b}});
+  s.AddRule(b, {{"red(x_new)", a}, {"E(x_old, x_new)", b}});
+  const std::vector<BranchingRule>& rules = s.rules();
+  EXPECT_EQ(rules[0].branches[0].guard, rules[1].branches[1].guard);
+  EXPECT_EQ(rules[0].branches[1].guard, rules[1].branches[0].guard);
+  EXPECT_NE(rules[0].branches[0].guard, rules[0].branches[1].guard);
 }
 
 TEST(ConcreteTest, Example1RunFromThePaper) {
@@ -133,6 +183,36 @@ TEST(ExistentialTest, QuantifierFreeSystemsPassThrough) {
   EXPECT_EQ(qf.rules().size(), s.rules().size());
   Structure g = Example1Graph();
   EXPECT_TRUE(FindAcceptingRun(qf, g).has_value());
+}
+
+TEST(ExistentialTest, EliminationPrintsTheSameOverSharedGuards) {
+  // Two rules share one quantifier-free guard object and two carry the
+  // same quantified text (parsed twice). The eliminated guards must print
+  // exactly as they did when every rule parsed its own copy.
+  DdsSystem s(GraphZooSchema());
+  s.AddRegister("x");
+  int a = s.AddState("a", true);
+  int b = s.AddState("b", false, true);
+  s.AddRule(a, a, "E(x_old, x_new)");
+  s.AddRule(a, b, "exists z: (E(x_new, z) & red(z))");
+  s.AddRule(a, b, "exists z: (E(x_new, z) & red(z))");
+  s.AddRule(b, b, "E(x_old, x_new)");
+  ASSERT_EQ(s.rules()[0].guard, s.rules()[3].guard);
+
+  DdsSystem qf = EliminateExistentials(s);
+  ASSERT_EQ(qf.num_registers(), 2);
+  const std::vector<std::string> named = {
+      "E(x_old, x_new)", "(E(x_new, _aux0_new) & red(_aux0_new))",
+      "(E(x_new, _aux0_new) & red(_aux0_new))", "E(x_old, x_new)"};
+  const std::vector<std::string> bare = {"E(v0, v2)", "(E(v2, v3) & red(v3))",
+                                         "(E(v2, v3) & red(v3))",
+                                         "E(v0, v2)"};
+  ASSERT_EQ(qf.rules().size(), named.size());
+  for (std::size_t i = 0; i < named.size(); ++i) {
+    const Formula& guard = *qf.rules()[i].guard;
+    EXPECT_EQ(guard.ToString(qf.schema(), qf.var_table().names()), named[i]);
+    EXPECT_EQ(guard.ToString(qf.schema()), bare[i]);
+  }
 }
 
 TEST(ExistentialTest, DifferentialAgainstNativeExistentialEvaluation) {
