@@ -15,10 +15,10 @@
 //
 // Optional query fields: "strategy" ("onthefly"|"eager"), "num_threads"
 // (build threads for this query), "build_witness", "extra_pattern_cap"
-// (trees), "atom_cap" (kind "system": relational enumeration cap; a query
-// whose candidate space exceeds it fails in-band with
-// "error_code":"enumeration_cap"), "rounds"/"steps" (the parametrized zoo
-// systems), "schema"
+// (trees), "atom_cap" (kinds "system" and "branching": relational
+// enumeration cap; a query whose candidate space exceeds it fails in-band
+// with "error_code":"enumeration_cap"), "rounds"/"steps" (the
+// parametrized zoo systems), "schema"
 // ({"relations":[["E",2],...],"functions":[...]}; kind "system" specs
 // only — word/tree schemas are implied by the automaton), "store_dir"
 // (attaches the service's disk tier; an error if a different tier is

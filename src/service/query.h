@@ -27,12 +27,13 @@
 
 namespace amalgam {
 
-/// Which front door a request goes through.
+/// Which front door a request names; the service runs each kind's
+/// GraphSpec through that front door's own path.
 enum class QueryKind {
-  kSystem,     // SolveEmptiness(system, *cls)
-  kWord,       // SolveWordEmptiness(system, *nfa)
-  kTree,       // SolveTreeEmptiness(system, *automaton)
-  kBranching,  // SolveBranchingEmptiness(*branching, *cls)
+  kSystem,     // SolveEmptiness: *cls over the system's rule guards
+  kWord,       // SolveWordEmptiness: WordRunClassFor(system, *nfa)
+  kTree,       // SolveTreeEmptiness: TreeRunClassFor(system, *automaton)
+  kBranching,  // SolveBranchingEmptiness: *cls over the flattened branches
 };
 
 /// The query-kind name used by the protocol and the recent-query log.
@@ -60,12 +61,14 @@ struct QueryRequest {
   /// Worker threads for this query's complete-graph builds
   /// (SubTransitionGraph::BuildFullParallel); 0 means the service default.
   int num_threads = 0;
-  /// Reconstruct a concrete witness (kSystem/kWord; costs extra work).
+  /// Run the engine's witness reconstruction (kSystem/kWord; costs extra
+  /// work). The result carries no witness, and kTree/kBranching ignore it.
   bool build_witness = false;
-  /// kSystem only: cap on the relational enumerators' per-partition atom
-  /// count (SolveOptions::relational_atom_cap; 0 = backend default).
-  /// Exceeding it fails the query in-band with
-  /// QueryResult::error_code == EnumerationCapError::kCode.
+  /// Cap on the relational enumerators' per-partition atom count
+  /// (SolveOptions::relational_atom_cap; 0 = backend default) for the
+  /// relational classes of kSystem and kBranching; the word and tree run
+  /// classes have no such enumerator. Exceeding it fails the query in-band
+  /// with QueryResult::error_code == EnumerationCapError::kCode.
   std::uint32_t atom_cap = 0;
 
   /// When set, the query is traced end to end: the service and the engine

@@ -1,99 +1,49 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "solver/backend.h"
-#include "solver/emptiness.h"
 #include "solver/store.h"
-#include "trees/run_class.h"
 #include "trees/solve.h"
-#include "words/run_class.h"
 #include "words/solve.h"
 
 namespace amalgam {
 
 namespace {
 
-std::vector<FormulaRef> RuleGuards(const DdsSystem& system) {
-  std::vector<FormulaRef> guards;
-  guards.reserve(system.rules().size());
-  for (const TransitionRule& rule : system.rules()) {
-    guards.push_back(rule.guard);
-  }
-  return guards;
-}
-
-// The backend, guard list, register count and cache key this request's
-// front door will query under — built the same way the front door builds
-// them (same backend construction, same guard order), so the single-flight
-// table, the prewarm path and the engine agree on what "the same graph"
-// means. The backend is owned (word/tree run classes are constructed
-// transiently here; they retain the request's nfa/automaton, which the
-// request keeps alive). This deliberately mirrors each front door's
-// derivation; if one of them ever changes its guard flattening or backend
-// construction, service_test's SingleFlightKeysAgreeWithEngineKeys
-// (exactly one cache miss per unique request) fails.
-struct GraphContext {
-  std::shared_ptr<const SolverBackend> backend;
-  std::vector<FormulaRef> guards;
-  int k = 0;
-  std::string key;
-};
-
-GraphContext ComputeGraphContext(const QueryRequest& request) {
-  GraphContext ctx;
+// The keyed spec of the graph `request` needs: its kind's backend (the
+// front doors' own constructors for the word and tree run classes, which
+// retain the request's nfa/automaton — the request keeps them alive) over
+// its system's guards.
+GraphSpec SpecOf(const QueryRequest& request) {
+  auto require = [](bool present, const char* what) {
+    if (!present) throw std::invalid_argument(what);
+  };
   switch (request.kind) {
-    case QueryKind::kSystem: {
-      if (!request.system || !request.cls) {
-        throw std::invalid_argument("system query needs `system` and `cls`");
-      }
-      ctx.backend = request.cls;
-      ctx.guards = RuleGuards(*request.system);
-      ctx.k = request.system->num_registers();
-      break;
-    }
-    case QueryKind::kWord: {
-      if (!request.system || !request.nfa) {
-        throw std::invalid_argument("word query needs `system` and `nfa`");
-      }
-      ctx.backend = std::make_shared<WordRunClass>(*request.nfa);
-      ctx.guards = RuleGuards(*request.system);
-      ctx.k = request.system->num_registers();
-      break;
-    }
-    case QueryKind::kTree: {
-      if (!request.system || !request.automaton) {
-        throw std::invalid_argument("tree query needs `system` and `automaton`");
-      }
-      ctx.backend = std::make_shared<TreeRunClass>(request.automaton.get(),
-                                                   request.extra_pattern_cap);
-      ctx.guards = RuleGuards(*request.system);
-      ctx.k = request.system->num_registers();
-      break;
-    }
-    case QueryKind::kBranching: {
-      if (!request.branching || !request.cls) {
-        throw std::invalid_argument(
-            "branching query needs `branching` and `cls`");
-      }
-      ctx.backend = request.cls;
-      for (const BranchingRule& rule : request.branching->rules()) {
-        for (const Branch& branch : rule.branches) {
-          ctx.guards.push_back(branch.guard);
-        }
-      }
-      ctx.k = request.branching->skeleton().num_registers();
-      break;
-    }
+    case QueryKind::kSystem:
+      require(request.system && request.cls,
+              "system query needs `system` and `cls`");
+      return GraphSpecFor(request.cls, *request.system, /*keyed=*/true);
+    case QueryKind::kWord:
+      require(request.system && request.nfa,
+              "word query needs `system` and `nfa`");
+      return GraphSpecFor(WordRunClassFor(*request.system, *request.nfa),
+                          *request.system, /*keyed=*/true);
+    case QueryKind::kTree:
+      require(request.system && request.automaton,
+              "tree query needs `system` and `automaton`");
+      return GraphSpecFor(TreeRunClassFor(*request.system, *request.automaton,
+                                          request.extra_pattern_cap),
+                          *request.system, /*keyed=*/true);
+    case QueryKind::kBranching:
+      require(request.branching && request.cls,
+              "branching query needs `branching` and `cls`");
+      return GraphSpecFor(request.cls, *request.branching, /*keyed=*/true);
   }
-  if (!ctx.backend) throw std::invalid_argument("unknown query kind");
-  ctx.key = GraphCache::Key(*ctx.backend, ctx.k, ctx.guards);
-  return ctx;
+  throw std::invalid_argument("unknown query kind");
 }
 
 // The graph cache key embeds a separator byte and free-form formula text;
@@ -157,9 +107,9 @@ QueryService::QueryService(Options options)
 
 QueryService::~QueryService() { Shutdown(); }
 
-void QueryService::ComputeTaskKey(Task& task) {
+void QueryService::ComputeTaskSpec(Task& task) {
   try {
-    task.graph_key = ComputeGraphContext(task.request).key;
+    task.spec = SpecOf(task.request);
   } catch (const std::exception& e) {
     task.setup_error = e.what();
   }
@@ -198,7 +148,7 @@ QueryService::SnapshotRecipes() const {
 
 std::string QueryService::GraphKeyFor(const QueryRequest& request) const {
   try {
-    return ComputeGraphContext(request).key;
+    return SpecOf(request).key;
   } catch (const std::exception&) {
     return std::string();
   }
@@ -206,9 +156,9 @@ std::string QueryService::GraphKeyFor(const QueryRequest& request) const {
 
 bool QueryService::Prewarm(const QueryRequest& request) {
   try {
-    const GraphContext ctx = ComputeGraphContext(request);
-    return cache_.Lookup(ctx.key, ctx.backend->schema(), ctx.guards,
-                         ctx.k) != nullptr;
+    const GraphSpec spec = SpecOf(request);
+    return cache_.Lookup(spec.key, spec.backend->schema(), spec.guards,
+                         spec.k) != nullptr;
   } catch (const std::exception&) {
     return false;
   }
@@ -223,14 +173,14 @@ void QueryService::RegisterFlight(Task& task) {
   // the entry and duplicate the same suffix sweep (the progress-guarded
   // insert keeps only the furthest, so all but one copy is wasted work).
   const std::shared_ptr<const SubTransitionGraph> cached =
-      cache_.Peek(task.graph_key);
+      cache_.Peek(task.spec.key);
   if (cached != nullptr && cached->complete()) {
     task.role = Role::kDirect;
     return;
   }
   task.resume = cached != nullptr;
   std::lock_guard<std::mutex> flock(flights_mutex_);
-  auto it = flights_.find(task.graph_key);
+  auto it = flights_.find(task.spec.key);
   if (it != flights_.end()) {
     task.role = Role::kJoiner;
     task.join_on = it->second.done;
@@ -243,7 +193,7 @@ void QueryService::RegisterFlight(Task& task) {
   } else {
     task.role = Role::kLeader;
     task.lead_done = std::make_shared<std::promise<void>>();
-    flights_.emplace(task.graph_key, Flight{task.lead_done->get_future()});
+    flights_.emplace(task.spec.key, Flight{task.lead_done->get_future()});
     std::lock_guard<std::mutex> slock(stats_mutex_);
     if (task.resume) {
       ++resume_leads_;
@@ -257,8 +207,8 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request) {
   Task task;
   task.request = std::move(request);
   std::future<QueryResult> future = task.promise.get_future();
-  ComputeTaskKey(task);  // backend construction: keep it off the lock
-  if (task.setup_error.empty()) RecordRecipe(task.graph_key, task.request);
+  ComputeTaskSpec(task);  // backend and key: keep them off the lock
+  if (task.setup_error.empty()) RecordRecipe(task.spec.key, task.request);
   task.submitted_at = std::chrono::steady_clock::now();
   {
     // Registration and enqueue are atomic together: a joiner must never
@@ -286,8 +236,8 @@ std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
     Task task;
     task.request = std::move(request);
     futures.push_back(task.promise.get_future());
-    ComputeTaskKey(task);  // per-request backend construction, unlocked
-    if (task.setup_error.empty()) RecordRecipe(task.graph_key, task.request);
+    ComputeTaskSpec(task);  // per-request backend and key, unlocked
+    if (task.setup_error.empty()) RecordRecipe(task.spec.key, task.request);
     task.submitted_at = std::chrono::steady_clock::now();
     tasks.push_back(std::move(task));
   }
@@ -335,52 +285,31 @@ void QueryService::WorkerLoop() {
   }
 }
 
-QueryResult QueryService::RunQuery(const QueryRequest& request) {
-  const int threads = request.num_threads > 0 ? request.num_threads
-                                              : options_.build_threads;
-  TraceRecorder* trace = request.trace.get();
+QueryResult QueryService::RunQuery(const Task& task) {
+  const QueryRequest& request = task.request;
+  SolveOptions options;
+  // Trees have no generic amalgamation, so no witness to reconstruct.
+  options.build_witness =
+      request.build_witness && request.kind != QueryKind::kTree;
+  options.strategy = request.strategy;
+  options.cache = &cache_;
+  options.store_max_bytes = options_.store_max_bytes;
+  options.store_max_files = options_.store_max_files;
+  options.num_threads = request.num_threads > 0 ? request.num_threads
+                                                : options_.build_threads;
+  options.relational_atom_cap = request.atom_cap;
+  options.trace = request.trace.get();
   QueryResult result;
-  switch (request.kind) {
-    case QueryKind::kSystem: {
-      SolveOptions options;
-      options.build_witness = request.build_witness;
-      options.strategy = request.strategy;
-      options.cache = &cache_;
-      options.num_threads = threads;
-      options.relational_atom_cap = request.atom_cap;
-      options.trace = trace;
-      SolveResult solved = SolveEmptiness(*request.system, *request.cls,
-                                          options);
-      result.nonempty = solved.nonempty;
-      result.stats = solved.stats;
-      break;
-    }
-    case QueryKind::kWord: {
-      WordSolveResult solved = SolveWordEmptiness(
-          *request.system, *request.nfa, request.build_witness,
-          request.strategy, &cache_, threads, /*store_dir=*/"", trace);
-      result.nonempty = solved.nonempty;
-      result.stats = solved.stats;
-      break;
-    }
-    case QueryKind::kTree: {
-      TreeSolveResult solved = SolveTreeEmptiness(
-          *request.system, *request.automaton,
-          /*witness_size_cap=*/request.build_witness ? 6 : 0,
-          request.extra_pattern_cap, request.strategy, &cache_, threads,
-          /*store_dir=*/"", trace);
-      result.nonempty = solved.nonempty;
-      result.stats = solved.stats;
-      break;
-    }
-    case QueryKind::kBranching: {
-      BranchingSolveResult solved = SolveBranchingEmptiness(
-          *request.branching, *request.cls, &cache_, threads,
-          /*store_dir=*/"", trace);
-      result.nonempty = solved.nonempty;
-      result.stats = solved.stats;
-      break;
-    }
+  if (request.kind == QueryKind::kBranching) {
+    BranchingSolveResult solved =
+        SolveBranchingEmptiness(*request.branching, task.spec, options);
+    result.nonempty = solved.nonempty;
+    result.stats = solved.stats;
+  } else {
+    SolveResult solved =
+        ExplorationEngine(*request.system, task.spec, options).Run();
+    result.nonempty = solved.nonempty;
+    result.stats = solved.stats;
   }
   result.ok = true;
   return result;
@@ -388,7 +317,6 @@ QueryResult QueryService::RunQuery(const QueryRequest& request) {
 
 QueryResult QueryService::Execute(Task& task) {
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t store_writes_before = cache_.store_writes();
   TraceRecorder* trace = task.request.trace.get();
   QueryResult result;
   {
@@ -417,7 +345,7 @@ QueryResult QueryService::Execute(Task& task) {
         {
           ScopedSpan run_span(trace, task.role == Role::kLeader ? "lead_build"
                                                                 : "run");
-          result = RunQuery(task.request);
+          result = RunQuery(task);
         }
         result.coalesced = coalesced;
       } catch (const EnumerationCapError& e) {
@@ -437,17 +365,9 @@ QueryResult QueryService::Execute(Task& task) {
       // cache path) and the key becomes eligible for a fresh flight.
       {
         std::lock_guard<std::mutex> flock(flights_mutex_);
-        flights_.erase(task.graph_key);
+        flights_.erase(task.spec.key);
       }
       task.lead_done->set_value();
-    }
-    // Sweep only when something was actually written to the disk tier
-    // since this query started — cache-hot replay traffic must not pay an
-    // O(files) directory scan per query.
-    if (result.ok &&
-        (options_.store_max_bytes > 0 || options_.store_max_files > 0) &&
-        cache_.store_writes() != store_writes_before) {
-      cache_.SweepStore(options_.store_max_bytes, options_.store_max_files);
     }
   }
   result.trace = task.request.trace;
@@ -460,7 +380,7 @@ QueryResult QueryService::Execute(Task& task) {
                                 start - task.submitted_at)
                                 .count());
   RecentQuery entry;
-  entry.key = task.graph_key.empty() ? std::string() : HashedKey(task.graph_key);
+  entry.key = task.spec.key.empty() ? std::string() : HashedKey(task.spec.key);
   entry.kind = QueryKindName(task.request.kind);
   entry.ok = result.ok;
   entry.nonempty = result.nonempty;

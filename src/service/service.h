@@ -28,11 +28,13 @@
 //     needs no build work, so those queries never serialize).
 //
 // Verdict equivalence with the synchronous front doors is structural: a
-// query is executed by calling the very same front door with the shared
-// cache passed in, so the only thing the service changes is *when* the
-// graph gets built and by whom. A leader that early-exits leaves a partial
-// graph; a joiner whose verdict needs more of the class resumes it through
-// the ordinary cache path (correct, just no longer coalesced).
+// query runs the same acquisition path the front doors use — the GraphSpec
+// built at submit time, which also keys the flight table, goes to the
+// engine or the branching fixpoint with the shared cache in SolveOptions —
+// so the only thing the service changes is *when* the graph gets built and
+// by whom. A leader that early-exits leaves a partial graph; a joiner
+// whose verdict needs more of the class resumes it through the ordinary
+// cache path (correct, just no longer coalesced).
 //
 // Shutdown is graceful: Drain() blocks until every accepted query has
 // completed; Shutdown() (and the destructor) drains, then joins the
@@ -140,11 +142,11 @@ class QueryService {
   std::vector<std::pair<std::string, QueryRequest>> SnapshotRecipes() const;
 
   /// Promotes the persisted graph for `request`'s key into the memory
-  /// tier without running the query: builds the same backend/guards the
-  /// front door would and pulls the key through the context-ful cache
-  /// lookup (disk load + promote). Returns true when a graph (complete or
-  /// partial) is now cached in memory; false on a store miss or an
-  /// invalid request. Never builds anything.
+  /// tier without running the query: builds the request's GraphSpec and
+  /// pulls its key through the context-ful cache lookup (disk load +
+  /// promote). Returns true when a graph (complete or partial) is now
+  /// cached in memory; false on a store miss or an invalid request. Never
+  /// builds anything.
   bool Prewarm(const QueryRequest& request);
 
   /// The cache key `request` would build under, or "" when the request
@@ -194,7 +196,9 @@ class QueryService {
     // (counts toward resume_leads/resume_coalesced instead of the cold
     // single-flight counters).
     bool resume = false;
-    std::string graph_key;                  // empty when key computation failed
+    // The graph this query needs, keyed; its key is empty when the spec
+    // could not be built (setup_error says why).
+    GraphSpec spec;
     std::shared_ptr<std::promise<void>> lead_done;  // kLeader
     std::shared_future<void> join_on;               // kJoiner
     std::string setup_error;                // non-empty: fail without running
@@ -203,10 +207,10 @@ class QueryService {
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// Computes the request's graph cache key (constructing the front
-  /// door's backend the same way the front door will — the expensive part,
-  /// so it runs before any lock is taken). Fills graph_key/setup_error.
-  static void ComputeTaskKey(Task& task);
+  /// Builds the request's keyed GraphSpec — backend, guards, k and key,
+  /// the one derivation the engine then runs on (the expensive part, so it
+  /// runs before any lock is taken). Fills spec/setup_error.
+  static void ComputeTaskSpec(Task& task);
 
   /// Remembers `request` as the recipe for `key` (bounded FIFO; see
   /// SnapshotRecipes).
@@ -218,15 +222,17 @@ class QueryService {
   void RegisterFlight(Task& task);
 
   /// Runs one query end to end on a worker thread: waits on the join
-  /// future (joiners), executes the front door against the shared cache,
+  /// future (joiners), runs the query against the shared cache,
   /// resolves the flight (leaders) and records stats. Returns the result
   /// instead of resolving the promise itself so WorkerLoop can mark the
   /// query no-longer-outstanding *before* the future resolves — Pending()
   /// must never report a query whose response was already observed.
   QueryResult Execute(Task& task);
 
-  /// The front-door dispatch; throws on invalid requests.
-  QueryResult RunQuery(const QueryRequest& request);
+  /// Runs the task's spec through the front doors' own path (the engine or
+  /// the branching fixpoint) with one SolveOptions built from the request;
+  /// throws on failure.
+  QueryResult RunQuery(const Task& task);
 
   void WorkerLoop();
 

@@ -1,10 +1,7 @@
 #include "solver/branching.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace amalgam {
@@ -30,81 +27,31 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                              int num_threads,
                                              const std::string& store_dir,
                                              TraceRecorder* trace) {
-  ScopedSpan solve_span(trace, "solve");
-  const DdsSystem& skel = system.skeleton();
-  // The guard set, flattened in (rule, branch) order: the graph's guard
-  // indices are flattened branch ids.
-  std::vector<FormulaRef> guards;
-  for (const BranchingRule& rule : system.rules()) {
-    for (const Branch& branch : rule.branches) {
-      if (!branch.guard->IsQuantifierFree()) {
-        throw std::invalid_argument("branching guards must be QF");
-      }
-      guards.push_back(branch.guard);
-    }
-  }
-  if (!IsPrefixSchema(skel.schema(), *cls.schema())) {
-    throw std::invalid_argument(
-        "the system's schema must be a prefix of the class's schema");
-  }
-  const int k = skel.num_registers();
-  BranchingSolveResult result;
+  SolveOptions options;
+  options.cache = cache;
+  options.num_threads = num_threads;
+  options.store_dir = store_dir;
+  options.trace = trace;
+  return SolveBranchingEmptiness(
+      system,
+      GraphSpecFor(BorrowBackend(cls), system, UsesGraphCache(options)),
+      options);
+}
 
-  // The sub-transition graph: cache-served, or built eagerly (backward
-  // fixpoints need the complete graph) and stored for the next query. A
-  // partial entry — left by an early-exited linear query over the same
-  // guard set, possibly in another process via the store — is resumed
-  // from its cursor on a private copy rather than rebuilt.
-  std::optional<GraphCache> store_only_cache;
-  if (!store_dir.empty()) {
-    if (!cache) {
-      store_only_cache.emplace();
-      cache = &*store_only_cache;
-    }
-    cache->AttachStore(store_dir);
-  }
-  std::shared_ptr<const SubTransitionGraph> graph;
-  std::shared_ptr<SubTransitionGraph> resumed;
-  std::string cache_key;
-  if (cache) {
-    cache_key = GraphCache::Key(cls, k, guards);
-    std::shared_ptr<const SubTransitionGraph> hit;
-    {
-      ScopedSpan lookup_span(trace, "cache_lookup");
-      hit = cache->Lookup(cache_key, cls.schema(), guards, k, trace);
-      lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
-      lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
-    }
-    result.stats.graph_from_cache = hit != nullptr;
-    if (hit && hit->complete()) {
-      graph = std::move(hit);
-    } else if (hit) {
-      solve_span.Annotate("resumed_from_phase",
-                          static_cast<std::uint64_t>(hit->cursor().phase));
-      solve_span.Annotate("resumed_from_member", hit->cursor().next_member);
-      resumed = std::make_shared<SubTransitionGraph>(*hit);
-      result.stats.graph_resumed = true;
-    }
-  }
-  if (!graph) {
-    auto built = resumed ? std::move(resumed)
-                         : std::make_shared<SubTransitionGraph>(guards, k);
-    {
-      ScopedSpan build_span(trace, "full_build");
-      if (num_threads > 1) {
-        built->BuildFullParallel(cls, num_threads, result.stats);
-      } else {
-        built->BuildFull(cls, result.stats);
-      }
-      build_span.Annotate("threads",
-                          static_cast<std::uint64_t>(std::max(1, num_threads)));
-      build_span.Annotate("members_generated", result.stats.members_generated);
-      build_span.Annotate("edges", built->num_edges());
-    }
-    if (cache) cache->Insert(cache_key, built, trace);
-    graph = std::move(built);
-  }
-  ScopedSpan fixpoint_span(trace, "fixpoint");
+BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
+                                             const GraphSpec& spec,
+                                             const SolveOptions& options) {
+  ScopedSpan solve_span(options.trace, "solve");
+  const DdsSystem& skel = system.skeleton();
+  BranchingSolveResult result;
+  // Backward fixpoints need the complete graph: served from the cache, or
+  // built eagerly (finishing a partial entry that an early-exited linear
+  // query over the same guard set left, possibly in another process) and
+  // stored for the next query.
+  const std::shared_ptr<const SubTransitionGraph> graph =
+      GraphAcquisition(spec, options, result.stats, solve_span)
+          .Complete(skel.num_states());
+  ScopedSpan fixpoint_span(options.trace, "fixpoint");
 
   const int num_shapes = graph->num_shapes();
   const int num_states = skel.num_states();
@@ -113,7 +60,7 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
       static_cast<std::uint64_t>(num_shapes) * num_states;
 
   // Per-branch adjacency view: old_shape -> new shapes.
-  std::size_t num_branches = guards.size();
+  std::size_t num_branches = spec.guards.size();
   std::vector<std::unordered_map<int, std::vector<int>>> edges(num_branches);
   for (int s = 0; s < num_shapes; ++s) {
     for (const SubTransitionGraph::Edge& e : graph->edges_from(s)) {

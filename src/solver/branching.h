@@ -9,7 +9,8 @@
 // the linear solver builds — and since the port onto SubTransitionGraph it
 // literally is the same relation: one shared interner, one edge store,
 // labeled by flattened branch index instead of rule id, cacheable across
-// queries through the same GraphCache.
+// queries through the same GraphCache, and fetched, resumed, built and
+// published by the same GraphAcquisition routine (solver/engine.h).
 #ifndef AMALGAM_SOLVER_BRANCHING_H_
 #define AMALGAM_SOLVER_BRANCHING_H_
 
@@ -72,9 +73,10 @@ struct BranchingSolveResult {
 
 /// Decides: is there a database in `cls` driving a finite accepting run
 /// tree of `system`? Routes through the shared SubTransitionGraph (the
-/// same interner and edge store as the linear engine); when `cache` is
-/// given, the complete graph for (class fingerprint, k, guard set) is
-/// reused or stored, so a repeated query reports
+/// same interner and edge store as the linear engine) and obtains it
+/// through GraphAcquisition, the engine's own acquisition routine: when
+/// `cache` is given, the complete graph for (class fingerprint, k, guard
+/// set) is reused or stored, so a repeated query reports
 /// stats.members_enumerated == 0 — and a *partial* entry left by an
 /// early-exited linear query over the same guard set is resumed from its
 /// cursor to completion (the backward fixpoint needs the whole relation)
@@ -91,6 +93,13 @@ BranchingSolveResult SolveBranchingEmptiness(
     const BranchingSystem& system, const FraisseClass& cls,
     GraphCache* cache = nullptr, int num_threads = 1,
     const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+
+/// The same query over `spec` = GraphSpecFor(cls, system, keyed), keyed
+/// when `options` attach a cache or store. The build honours the cache,
+/// store, thread, max_configs and atom-cap fields of `options`.
+BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
+                                             const GraphSpec& spec,
+                                             const SolveOptions& options);
 
 }  // namespace amalgam
 

@@ -5,7 +5,9 @@ namespace amalgam {
 SolveResult SolveEmptiness(const DdsSystem& system,
                            const SolverBackend& backend,
                            const SolveOptions& options) {
-  return ExplorationEngine(system, backend, options).Run();
+  const GraphSpec spec =
+      GraphSpecFor(BorrowBackend(backend), system, UsesGraphCache(options));
+  return ExplorationEngine(system, spec, options).Run();
 }
 
 }  // namespace amalgam

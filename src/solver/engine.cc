@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "solver/branching.h"
 #include "solver/store.h"
 
 namespace amalgam {
@@ -11,29 +12,133 @@ namespace amalgam {
 namespace {
 constexpr int kUnvisited = -1;
 constexpr int kRoot = -2;
-}  // namespace
 
-ExplorationEngine::ExplorationEngine(const DdsSystem& system,
-                                     const SolverBackend& backend,
-                                     const SolveOptions& options)
-    : system_(system),
-      backend_(backend),
-      options_(options),
-      k_(system.num_registers()),
-      num_states_(system.num_states()) {
-  if (!system_.AllGuardsQuantifierFree()) {
-    throw std::invalid_argument(
-        "guards must be quantifier-free; run EliminateExistentials first");
-  }
-  if (!IsPrefixSchema(system_.schema(), *backend_.schema())) {
+// The tail both GraphSpecFor overloads share: the Lemma 6 schema check,
+// k, and the key — the only place a query's key is printed.
+GraphSpec FinishSpec(GraphSpec spec, const DdsSystem& skeleton, bool keyed) {
+  if (!IsPrefixSchema(skeleton.schema(), *spec.backend->schema())) {
     throw std::invalid_argument(
         "the system's schema must be a prefix of the class's schema");
   }
-  guards_.reserve(system_.rules().size());
-  for (const TransitionRule& rule : system_.rules()) {
-    guards_.push_back(rule.guard);
+  spec.k = skeleton.num_registers();
+  if (keyed) spec.key = GraphCache::Key(*spec.backend, spec.k, spec.guards);
+  return spec;
+}
+}  // namespace
+
+GraphSpec GraphSpecFor(std::shared_ptr<const SolverBackend> backend,
+                       const DdsSystem& system, bool keyed) {
+  if (!system.AllGuardsQuantifierFree()) {
+    throw std::invalid_argument(
+        "guards must be quantifier-free; run EliminateExistentials first");
+  }
+  GraphSpec spec;
+  spec.backend = std::move(backend);
+  spec.guards.reserve(system.rules().size());
+  for (const TransitionRule& rule : system.rules()) {
+    spec.guards.push_back(rule.guard);
+  }
+  return FinishSpec(std::move(spec), system, keyed);
+}
+
+GraphSpec GraphSpecFor(std::shared_ptr<const SolverBackend> backend,
+                       const BranchingSystem& system, bool keyed) {
+  GraphSpec spec;
+  spec.backend = std::move(backend);
+  for (const BranchingRule& rule : system.rules()) {
+    for (const Branch& branch : rule.branches) {
+      if (!branch.guard->IsQuantifierFree()) {
+        throw std::invalid_argument("branching guards must be QF");
+      }
+      spec.guards.push_back(branch.guard);
+    }
+  }
+  return FinishSpec(std::move(spec), system.skeleton(), keyed);
+}
+
+GraphAcquisition::GraphAcquisition(const GraphSpec& spec,
+                                   const SolveOptions& options,
+                                   SolveStats& stats, ScopedSpan& solve_span)
+    : spec_(spec), options_(options), stats_(stats), cache_(options.cache) {
+  // A store directory without a caller-owned cache still gets the disk
+  // tier: a private cache scoped to this query front-ends the store, which
+  // is where the persistence actually lives.
+  if (!options_.store_dir.empty()) {
+    if (cache_ == nullptr) cache_ = &store_only_cache_.emplace();
+    cache_->AttachStore(options_.store_dir);
+  }
+  if (cache_ == nullptr) return;
+  if (spec_.key.empty()) {
+    throw std::invalid_argument("a cached query needs a keyed GraphSpec");
+  }
+  {
+    ScopedSpan lookup_span(options_.trace, "cache_lookup");
+    hit_ = cache_->Lookup(spec_.key, spec_.backend->schema(), spec_.guards,
+                          spec_.k, options_.trace);
+    lookup_span.Annotate("hit", std::uint64_t{hit_ != nullptr});
+    lookup_span.Annotate("complete", std::uint64_t{hit_ && hit_->complete()});
+  }
+  stats_.graph_from_cache = hit_ != nullptr;
+  if (hit_ && !hit_->complete()) {
+    // Where the stored trajectory left off, straight off the entry's
+    // cursor.
+    solve_span.Annotate("resumed_from_phase",
+                        static_cast<std::uint64_t>(hit_->cursor().phase));
+    solve_span.Annotate("resumed_from_member", hit_->cursor().next_member);
+    stats_.graph_resumed = true;
   }
 }
+
+std::shared_ptr<const SubTransitionGraph> GraphAcquisition::Complete(
+    int num_states) {
+  if (hit_ && hit_->complete()) return hit_;
+  auto built = hit_ ? std::make_shared<SubTransitionGraph>(*hit_)
+                    : std::make_shared<SubTransitionGraph>(spec_.guards,
+                                                           spec_.k);
+  {
+    ScopedSpan build_span(options_.trace, "full_build");
+    const std::uint64_t max_shapes =
+        num_states == 0 ? ~std::uint64_t{0}
+                        : options_.max_configs / num_states;
+    if (options_.num_threads > 1) {
+      built->BuildFullParallel(*spec_.backend, options_.num_threads, stats_,
+                               max_shapes, options_.relational_atom_cap);
+    } else {
+      built->BuildFull(*spec_.backend, stats_, max_shapes,
+                       options_.relational_atom_cap);
+    }
+    build_span.Annotate(
+        "threads",
+        static_cast<std::uint64_t>(std::max(1, options_.num_threads)));
+    build_span.Annotate("members_generated", stats_.members_generated);
+    build_span.Annotate("edges", built->num_edges());
+  }
+  Insert(built);
+  return built;
+}
+
+void GraphAcquisition::Insert(
+    std::shared_ptr<const SubTransitionGraph> graph) {
+  if (cache_ == nullptr) return;
+  const std::uint64_t store_writes_before = cache_->store_writes();
+  cache_->Insert(spec_.key, std::move(graph), options_.trace);
+  // Apply the disk-tier caps after a write-through — and only then: a
+  // cache-hit replay must not pay an O(files) directory scan.
+  if ((options_.store_max_bytes > 0 || options_.store_max_files > 0) &&
+      cache_->store_writes() != store_writes_before) {
+    cache_->SweepStore(options_.store_max_bytes, options_.store_max_files);
+  }
+}
+
+ExplorationEngine::ExplorationEngine(const DdsSystem& system,
+                                     const GraphSpec& spec,
+                                     const SolveOptions& options)
+    : system_(system),
+      spec_(spec),
+      backend_(*spec.backend),
+      options_(options),
+      k_(spec.k),
+      num_states_(system.num_states()) {}
 
 void ExplorationEngine::EnsureConfigCapacity() {
   const std::size_t num_shapes =
@@ -101,22 +206,13 @@ void ExplorationEngine::DrainQueue() {
   }
 }
 
-void ExplorationEngine::RunOnTheFly() {
+void ExplorationEngine::RunOnTheFly(bool cached) {
   // Replay: a partial cache entry already holds shapes and edges — BFS
   // over them before touching the backend, so a goal inside the explored
   // region is found with zero enumeration and zero copying (the steady
   // state for repeated nonempty queries). On a fresh graph this is a
   // no-op.
-  {
-    ScopedSpan replay_span(options_.trace, "bfs_replay");
-    EnsureConfigCapacity();
-    for (int shape : graph_->initial_shapes()) {
-      if (goal_ >= 0) break;
-      SeedInitialShape(shape);
-    }
-    DrainQueue();
-    replay_span.Annotate("goal_found", std::uint64_t{goal_ >= 0});
-  }
+  ReplayGraph("bfs_replay");
   if (goal_ >= 0) return;
 
   // The sweep must continue: from here on the graph is mutated, so a
@@ -162,7 +258,7 @@ void ExplorationEngine::RunOnTheFly() {
   // frontier-directed form when nothing is cached or persisted (see
   // RunFrontierSweep — its graph is not a resumable stream prefix); the
   // positioned stream sweep below otherwise.
-  if (goal_ < 0 && active_cache_ == nullptr && k_ >= 1 &&
+  if (goal_ < 0 && !cached && k_ >= 1 &&
       backend_.cursor_support().extensions &&
       owned_graph_->cursor() == BuildCursor{kCursorPhaseJoint, 0}) {
     RunFrontierSweep();
@@ -269,133 +365,42 @@ void ExplorationEngine::RunFrontierSweep() {
   sweep_span.Annotate("edges", owned_graph_->num_edges() - edges_before);
 }
 
-void ExplorationEngine::RunFullGraph() {
-  if (!graph_) {
-    // Build — or, when owned_graph_ was preloaded from a partial cache
-    // entry, finish — the complete graph, then publish it.
-    {
-      ScopedSpan build_span(options_.trace, "full_build");
-      if (!owned_graph_) {
-        owned_graph_ = std::make_shared<SubTransitionGraph>(guards_, k_);
-      }
-      const std::uint64_t max_shapes =
-          num_states_ == 0 ? ~std::uint64_t{0}
-                           : options_.max_configs / num_states_;
-      if (options_.num_threads > 1) {
-        owned_graph_->BuildFullParallel(backend_, options_.num_threads,
-                                        result_.stats, max_shapes,
-                                        options_.relational_atom_cap);
-      } else {
-        owned_graph_->BuildFull(backend_, result_.stats, max_shapes,
-                                options_.relational_atom_cap);
-      }
-      build_span.Annotate(
-          "threads",
-          static_cast<std::uint64_t>(std::max(1, options_.num_threads)));
-      build_span.Annotate("members_generated",
-                          result_.stats.members_generated);
-      build_span.Annotate("edges", owned_graph_->num_edges());
-    }
-    if (active_cache_) {
-      active_cache_->Insert(cache_key_, owned_graph_, options_.trace);
-    }
-    graph_ = owned_graph_;
-  }
-  ScopedSpan bfs_span(options_.trace, "bfs");
+void ExplorationEngine::ReplayGraph(const char* span_name) {
+  ScopedSpan span(options_.trace, span_name);
   EnsureConfigCapacity();
   for (int shape : graph_->initial_shapes()) {
     if (goal_ >= 0) break;
     SeedInitialShape(shape);
   }
   DrainQueue();
-  bfs_span.Annotate("goal_found", std::uint64_t{goal_ >= 0});
+  span.Annotate("goal_found", std::uint64_t{goal_ >= 0});
 }
 
 SolveResult ExplorationEngine::Run() {
   ScopedSpan solve_span(options_.trace, "solve");
-  // A store directory without a caller-owned cache still gets the disk
-  // tier: a private cache scoped to this query front-ends the store, which
-  // is where the persistence actually lives.
-  std::optional<GraphCache> store_only_cache;
-  active_cache_ = options_.cache;
-  if (!options_.store_dir.empty()) {
-    if (!active_cache_) {
-      store_only_cache.emplace();
-      active_cache_ = &*store_only_cache;
-    }
-    active_cache_->AttachStore(options_.store_dir);
-  }
-
-  const std::uint64_t store_writes_before =
-      active_cache_ ? active_cache_->store_writes() : 0;
-
-  if (active_cache_) {
-    cache_key_ = GraphCache::Key(backend_, k_, guards_);
-    std::shared_ptr<const SubTransitionGraph> hit;
-    {
-      ScopedSpan lookup_span(options_.trace, "cache_lookup");
-      hit = active_cache_->Lookup(cache_key_, backend_.schema(), guards_, k_,
-                                  options_.trace);
-      lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
-      lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
-    }
-    if (hit && !hit->complete()) {
-      // Satellite observability for resumed flights: where the stored
-      // trajectory left off, straight off the entry's cursor.
-      solve_span.Annotate(
-          "resumed_from_phase",
-          static_cast<std::uint64_t>(hit->cursor().phase));
-      solve_span.Annotate("resumed_from_member", hit->cursor().next_member);
-    }
-    result_.stats.graph_from_cache = hit != nullptr;
-    if (hit && hit->complete()) {
-      // Complete entry: pure BFS over interned ids, zero enumeration.
-      graph_ = std::move(hit);
-      RunFullGraph();
-    } else if (options_.strategy == SolveStrategy::kEager) {
-      if (hit) {
-        // Partial entry: finish the build on a private copy — the cached
-        // graph is shared with concurrent readers and stays immutable.
-        owned_graph_ = std::make_shared<SubTransitionGraph>(*hit);
-        result_.stats.graph_resumed = true;
-      }
-      RunFullGraph();
-    } else {
-      if (hit) {
-        // Partial entry: replay it in place; RunOnTheFly copies it only
-        // if the sweep actually has to continue.
-        graph_ = std::move(hit);
-        result_.stats.graph_resumed = true;
-      } else {
-        owned_graph_ = std::make_shared<SubTransitionGraph>(guards_, k_);
-        graph_ = owned_graph_;
-      }
-      RunOnTheFly();
-      // Whatever this run added — or the whole graph on a miss — feeds
-      // the next query; a replay-served query added nothing (and owns
-      // nothing), and equal progress is a no-op inside Insert anyway.
-      if (owned_graph_) {
-        active_cache_->Insert(cache_key_, owned_graph_, options_.trace);
-      }
-    }
-  } else if (options_.strategy == SolveStrategy::kEager) {
-    RunFullGraph();
+  GraphAcquisition graphs(spec_, options_, result_.stats, solve_span);
+  const std::shared_ptr<const SubTransitionGraph>& hit = graphs.hit();
+  if (options_.strategy == SolveStrategy::kEager || (hit && hit->complete())) {
+    // A complete entry is pure BFS over interned ids, zero enumeration;
+    // eager builds (or finishes a partial entry) first.
+    graph_ = graphs.Complete(num_states_);
+    ReplayGraph("bfs");
   } else {
-    owned_graph_ = std::make_shared<SubTransitionGraph>(guards_, k_);
-    graph_ = owned_graph_;
-    RunOnTheFly();
-  }
-  // Apply the disk-tier caps after this query's write-through — but only
-  // when something was actually written: cache-hit replay queries must
-  // not pay an O(files) directory scan. Without a store this is a no-op.
-  if (active_cache_ &&
-      (options_.store_max_bytes > 0 || options_.store_max_files > 0) &&
-      active_cache_->store_writes() != store_writes_before) {
-    active_cache_->SweepStore(options_.store_max_bytes,
-                              options_.store_max_files);
+    if (hit) {
+      // Partial entry: replay it in place; RunOnTheFly copies it only if
+      // the sweep actually has to continue.
+      graph_ = hit;
+    } else {
+      owned_graph_ = std::make_shared<SubTransitionGraph>(spec_.guards, k_);
+      graph_ = owned_graph_;
+    }
+    RunOnTheFly(graphs.cached());
+    // Whatever this run added — or the whole graph on a miss — feeds the
+    // next query; a replay-served query added nothing (and owns nothing),
+    // and equal progress is a no-op inside Insert anyway.
+    if (owned_graph_) graphs.Insert(owned_graph_);
   }
   Finish();
-  active_cache_ = nullptr;
   return std::move(result_);
 }
 

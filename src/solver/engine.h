@@ -34,6 +34,10 @@
 //     advances. With a store directory attached the same holds across
 //     processes (solver/store.h).
 //
+// Which graph a query needs is a GraphSpec; how it is fetched, resumed,
+// built and published is GraphAcquisition, the one routine the engine and
+// the branching fixpoint (and so every front door and the service) share.
+//
 // All strategies share the canonical-form interner (solver/intern.h), the
 // predecessor links used for witness-path replay, and the witness
 // reconstruction that replays the soundness proof through the backend's
@@ -58,6 +62,8 @@
 #include "system/dds.h"
 
 namespace amalgam {
+
+class BranchingSystem;
 
 /// A small configuration: control state + canonical (database, valuation).
 struct SmallConfig {
@@ -98,9 +104,9 @@ struct SolveOptions {
   /// enumeration) or resumes its partial one from the stored cursor.
   std::string store_dir;
   /// Disk-tier caps, applied (GraphCache::SweepStore — LRU by access time)
-  /// after the query completes when a store is attached, so long-lived
-  /// store directories stop growing without bound. 0 = unlimited. The
-  /// memory tier is governed separately by GraphCache(max_entries).
+  /// after each write-through to an attached store, so long-lived store
+  /// directories stop growing without bound. 0 = unlimited. The memory
+  /// tier is governed separately by GraphCache(max_entries).
   std::uint64_t store_max_bytes = 0;
   std::uint64_t store_max_files = 0;
   /// Number of worker threads for complete-graph builds (the kEager
@@ -148,16 +154,88 @@ struct SolveResult {
   SolveStats stats;
 };
 
-/// One emptiness query over one system and one backend. Single-use: build,
-/// Run() once, discard.
+/// Whether these options attach a cache or store, so need a keyed spec.
+inline bool UsesGraphCache(const SolveOptions& options) {
+  return options.cache != nullptr || !options.store_dir.empty();
+}
+
+/// Which sub-transition graph a query needs: in the paper it depends only
+/// on the class, k and the guard set. The positional front doors borrow
+/// the caller's backend (BorrowBackend); the query service owns the run
+/// classes it constructs.
+struct GraphSpec {
+  std::shared_ptr<const SolverBackend> backend;
+  /// One slot per rule (graph guard index = rule id), or per branch in
+  /// (rule, branch) order (index = flattened branch id).
+  std::vector<FormulaRef> guards;
+  int k = 0;
+  /// GraphCache::Key(*backend, k, guards); empty unless keyed.
+  std::string key;
+};
+
+/// The spec of `system`'s graph over `backend`; `keyed` (pass
+/// UsesGraphCache(options)) prints the key, once. Throws
+/// std::invalid_argument unless every guard is quantifier-free (apply
+/// EliminateExistentials first) and the system's schema is a prefix of the
+/// backend's (Lemma 6: extra symbols are invisible to such guards).
+GraphSpec GraphSpecFor(std::shared_ptr<const SolverBackend> backend,
+                       const DdsSystem& system, bool keyed);
+GraphSpec GraphSpecFor(std::shared_ptr<const SolverBackend> backend,
+                       const BranchingSystem& system, bool keyed);
+
+/// A non-owning handle on a backend the caller keeps alive.
+inline std::shared_ptr<const SolverBackend> BorrowBackend(
+    const SolverBackend& backend) {
+  return std::shared_ptr<const SolverBackend>(std::shared_ptr<const void>(),
+                                              &backend);
+}
+
+/// The one path by which the engine and the branching fixpoint obtain a
+/// graph. Construction resolves the cache (options.cache, or a private one
+/// fronting options.store_dir) and looks spec.key up under a
+/// "cache_lookup" span; a partial hit annotates `solve_span` with its
+/// cursor. An insert that writes through to the store is followed by the
+/// store-cap sweep. `spec` and `options` must outlive the acquisition.
+class GraphAcquisition {
+ public:
+  GraphAcquisition(const GraphSpec& spec, const SolveOptions& options,
+                   SolveStats& stats, ScopedSpan& solve_span);
+
+  /// Whether a cache (the caller's or the store-only one) backs the query.
+  bool cached() const { return cache_ != nullptr; }
+  /// The cached entry, complete or partial; null on a miss or uncached.
+  const std::shared_ptr<const SubTransitionGraph>& hit() const {
+    return hit_;
+  }
+
+  /// The complete graph: a complete hit as is, else built ("full_build")
+  /// from a private copy of a partial hit or fresh — sharded when
+  /// options.num_threads > 1, capped by options.max_configs over
+  /// `num_states` states and options.relational_atom_cap — and inserted.
+  std::shared_ptr<const SubTransitionGraph> Complete(int num_states);
+
+  /// Publishes a graph this query grew (on the fly); no-op uncached.
+  void Insert(std::shared_ptr<const SubTransitionGraph> graph);
+
+ private:
+  const GraphSpec& spec_;
+  const SolveOptions& options_;
+  SolveStats& stats_;
+  std::optional<GraphCache> store_only_cache_;
+  GraphCache* cache_ = nullptr;
+  std::shared_ptr<const SubTransitionGraph> hit_;
+};
+
+/// One emptiness query over one system and its graph spec. Single-use:
+/// build, Run() once, discard.
 class ExplorationEngine {
  public:
-  /// The system's schema must be a prefix of backend.schema() (Lemma 6:
-  /// extra symbols in the class's schema are invisible to quantifier-free
-  /// guards). All guards must be quantifier-free (apply
-  /// EliminateExistentials first). Throws std::invalid_argument otherwise.
-  ExplorationEngine(const DdsSystem& system, const SolverBackend& backend,
+  /// `spec` must be GraphSpecFor(backend, system, keyed) — keyed when
+  /// `options` attach a cache or store — and must outlive the engine.
+  ExplorationEngine(const DdsSystem& system, const GraphSpec& spec,
                     const SolveOptions& options = {});
+  ExplorationEngine(const DdsSystem&, GraphSpec&&, const SolveOptions& = {}) =
+      delete;  // the engine keeps a reference to its spec
 
   SolveResult Run();
 
@@ -170,8 +248,8 @@ class ExplorationEngine {
   /// graph already holds: replays existing shapes/edges first (a resumed
   /// partial graph may already contain the goal), then continues the
   /// member sweep from the graph's cursor with early exit, advancing the
-  /// cursor as it goes.
-  void RunOnTheFly();
+  /// cursor as it goes. `cached` rules out the frontier sweep.
+  void RunOnTheFly(bool cached);
   /// The joint-member half of RunOnTheFly for backends with the
   /// EnumerateExtensions capability: instead of filtering the global 2k
   /// stream, each interned shape is expanded at most once — and only after
@@ -183,10 +261,9 @@ class ExplorationEngine {
   /// unreached shapes' edges, so it is not a resumable stream prefix and
   /// must never be cached or persisted.
   void RunFrontierSweep();
-  /// Eager and cached-complete queries: the complete graph (cache-fetched,
-  /// or built/resumed to completion and inserted), then BFS from the
-  /// initial shapes.
-  void RunFullGraph();
+  /// Seeds the initial shapes and BFSes over graph_'s recorded edges
+  /// under a `span_name` span, stopping at an accepting configuration.
+  void ReplayGraph(const char* span_name);
 
   /// Grows the per-config reachability tables (parent_/via_step_) to the
   /// graph's current shape count and enforces the configuration cap.
@@ -208,23 +285,19 @@ class ExplorationEngine {
   void ReconstructWitness();
 
   const DdsSystem& system_;
+  // One guard per rule, in rule order: the graph's guard indices are rule
+  // ids.
+  const GraphSpec& spec_;
   const SolverBackend& backend_;
   SolveOptions options_;
   int k_;
   int num_states_;
 
-  // One guard per rule, in rule order (the graph's guard indices are rule
-  // ids).
-  std::vector<FormulaRef> guards_;
-  // The active graph: `owned_graph_` when this query builds or resumes it
-  // (resumption always copies the shared cache entry first), a cached
-  // complete graph otherwise.
+  // The active graph: `owned_graph_` when this query grows it on the fly
+  // (resumption always copies the shared cache entry first), a cached or
+  // completed graph otherwise.
   std::shared_ptr<SubTransitionGraph> owned_graph_;
   std::shared_ptr<const SubTransitionGraph> graph_;
-  std::string cache_key_;
-  // The cache this query reads/writes: options_.cache, or a private
-  // store-backed cache owned by Run() when only store_dir is set.
-  GraphCache* active_cache_ = nullptr;
 
   // parent_[c] = config id of predecessor (kUnvisited / kRoot sentinels);
   // via_step_[c] = step index used to reach c.

@@ -1,8 +1,19 @@
 #include "trees/solve.h"
 
+#include <memory>
 #include <stdexcept>
 
 namespace amalgam {
+
+std::shared_ptr<const TreeRunClass> TreeRunClassFor(
+    const DdsSystem& system, const TreeAutomaton& automaton,
+    int extra_pattern_cap) {
+  if (system.num_registers() < 1) {
+    throw std::invalid_argument(
+        "tree emptiness requires at least one register");
+  }
+  return std::make_shared<TreeRunClass>(&automaton, extra_pattern_cap);
+}
 
 TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    const TreeAutomaton& automaton,
@@ -12,11 +23,8 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    GraphCache* cache, int num_threads,
                                    const std::string& store_dir,
                                    TraceRecorder* trace) {
-  if (system.num_registers() < 1) {
-    throw std::invalid_argument(
-        "tree emptiness requires at least one register");
-  }
-  TreeRunClass cls(&automaton, extra_pattern_cap);
+  const std::shared_ptr<const TreeRunClass> cls =
+      TreeRunClassFor(system, automaton, extra_pattern_cap);
   SolveOptions options;
   options.build_witness = false;  // no generic amalgamation for trees
   options.strategy = strategy;
@@ -24,7 +32,7 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
   options.num_threads = num_threads;
   options.store_dir = store_dir;
   options.trace = trace;
-  SolveResult generic = SolveEmptiness(system, cls, options);
+  SolveResult generic = SolveEmptiness(system, *cls, options);
   TreeSolveResult result;
   result.nonempty = generic.nonempty;
   result.stats = generic.stats;

@@ -4,6 +4,7 @@
 #ifndef AMALGAM_TREES_SOLVE_H_
 #define AMALGAM_TREES_SOLVE_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -28,6 +29,13 @@ struct TreeSolveResult {
   std::optional<TreeWitness> witness;
   SolveStats stats;
 };
+
+/// The backend a tree query runs over: the run-pattern class of
+/// `automaton` (which it retains by pointer) with `extra_pattern_cap`.
+/// Throws std::invalid_argument when `system` has no register.
+std::shared_ptr<const TreeRunClass> TreeRunClassFor(
+    const DdsSystem& system, const TreeAutomaton& automaton,
+    int extra_pattern_cap);
 
 /// Decides: is there a tree t accepted by `automaton` such that `system`
 /// (over the automaton's TreeSchema) has an accepting run driven by

@@ -1,19 +1,25 @@
 #include "words/solve.h"
 
+#include <memory>
 #include <stdexcept>
 
 namespace amalgam {
+
+std::shared_ptr<const WordRunClass> WordRunClassFor(const DdsSystem& system,
+                                                    const Nfa& nfa) {
+  if (system.num_registers() < 1) {
+    throw std::invalid_argument(
+        "word emptiness requires at least one register");
+  }
+  return std::make_shared<WordRunClass>(nfa);
+}
 
 WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
                                    bool build_witness, SolveStrategy strategy,
                                    GraphCache* cache, int num_threads,
                                    const std::string& store_dir,
                                    TraceRecorder* trace) {
-  if (system.num_registers() < 1) {
-    throw std::invalid_argument(
-        "word emptiness requires at least one register");
-  }
-  WordRunClass cls(nfa);
+  const std::shared_ptr<const WordRunClass> cls = WordRunClassFor(system, nfa);
   SolveOptions options;
   options.build_witness = build_witness;
   options.strategy = strategy;
@@ -21,7 +27,7 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
   options.num_threads = num_threads;
   options.store_dir = store_dir;
   options.trace = trace;
-  SolveResult generic = SolveEmptiness(system, cls, options);
+  SolveResult generic = SolveEmptiness(system, *cls, options);
   WordSolveResult result;
   result.nonempty = generic.nonempty;
   result.stats = generic.stats;
@@ -34,9 +40,9 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
   // has a single configuration). Complete it and remap the register
   // valuations into word positions.
   std::vector<Elem> order;
-  auto pattern = cls.StructureToPattern(*generic.witness_db, &order);
+  auto pattern = cls->StructureToPattern(*generic.witness_db, &order);
   if (!pattern.has_value()) return result;  // should not happen
-  auto completed = cls.Complete(*pattern);
+  auto completed = cls->Complete(*pattern);
   if (!completed.has_value()) return result;
   auto& [run_states, slot_pos] = *completed;
 
@@ -48,7 +54,7 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
   witness.automaton_states = run_states;
   witness.letters.reserve(run_states.size());
   for (int q : run_states) {
-    witness.letters.push_back(cls.nfa().letter_of(q));
+    witness.letters.push_back(cls->nfa().letter_of(q));
   }
   for (const ConcreteConfig& c : *generic.witness_run) {
     ConcreteConfig mapped;

@@ -4,6 +4,7 @@
 #ifndef AMALGAM_WORDS_SOLVE_H_
 #define AMALGAM_WORDS_SOLVE_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +29,11 @@ struct WordSolveResult {
   std::optional<WordWitness> witness;
   SolveStats stats;
 };
+
+/// The backend a word query runs over: the run-pattern class of `nfa`.
+/// Throws std::invalid_argument when `system` has no register.
+std::shared_ptr<const WordRunClass> WordRunClassFor(const DdsSystem& system,
+                                                    const Nfa& nfa);
 
 /// Decides: is there a word w in L(nfa) such that `system` (over
 /// MakeWordSchema of the automaton's alphabet) has an accepting run driven

@@ -9,6 +9,8 @@
 
 #include <initializer_list>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "fraisse/hom_class.h"  // for LiftedHomClass in other cases
 #include "fraisse/relational.h"
@@ -261,6 +263,38 @@ TEST(BranchingTest, SecondQueryIsServedFromTheGraphCache) {
   EXPECT_EQ(second.nonempty, first.nonempty);
   EXPECT_EQ(second.stats.edges, first.stats.edges);
   EXPECT_EQ(second.stats.configs, first.stats.configs);
+}
+
+TEST(BranchingTest, BuildHonoursTheEngineCaps) {
+  // The branching build runs on the engine's acquisition path, so the
+  // SolveOptions caps bind it exactly as they bind a linear query.
+  AllStructuresClass cls(GraphZooSchema());
+  BranchingSystem bs(GraphZooSchema());
+  bs.AddRegister("x");
+  int a = bs.AddState("a", true);
+  int b = bs.AddState("b", false, true);
+  bs.AddRule(a, {{"E(x_old, x_new)", b}, {"red(x_new)", b}});
+  const GraphSpec spec = GraphSpecFor(BorrowBackend(cls), bs, /*keyed=*/false);
+
+  const BranchingSolveResult uncapped =
+      SolveBranchingEmptiness(bs, spec, SolveOptions{});
+  ASSERT_GT(uncapped.stats.configs, 4u);
+
+  SolveOptions few_configs;
+  few_configs.max_configs = 4;
+  try {
+    SolveBranchingEmptiness(bs, spec, few_configs);
+    FAIL() << "expected the configuration cap";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("configuration cap"),
+              std::string::npos)
+        << e.what();
+  }
+
+  SolveOptions one_atom;
+  one_atom.relational_atom_cap = 1;
+  EXPECT_THROW(SolveBranchingEmptiness(bs, spec, one_atom),
+               EnumerationCapError);
 }
 
 }  // namespace

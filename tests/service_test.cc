@@ -24,9 +24,11 @@
 #include "service/session.h"
 #include "solver/emptiness.h"
 #include "system/zoo.h"
+#include "trees/run_class.h"
 #include "trees/solve.h"
 #include "trees/zoo.h"
 #include "words/solve.h"
+#include "words/worddb.h"
 #include "words/zoo.h"
 
 namespace amalgam {
@@ -627,6 +629,200 @@ TEST(ServiceTest, MixedKeyStressAcrossTheZoos) {
   service.Drain();
   EXPECT_EQ(service.Stats().queries, futures.size());
   EXPECT_EQ(service.Stats().failed, 0u);
+}
+
+// One seeded random 1-register request of `kind`: 2–4 states (the first
+// initial, the last accepting) and 1–4 rules — 1–2 branches each for
+// kBranching — whose guards conjoin one or two atoms over the kind's
+// schema.
+QueryRequest RandomRequest(QueryKind kind, std::mt19937& rng) {
+  static const std::vector<std::string> kGraphAtoms = {
+      "E(x_old, x_new)", "red(x_new)",      "!red(x_new)",
+      "x_old != x_new",  "E(x_new, x_old)", "red(x_old)"};
+  static const std::vector<std::string> kWordAtoms = {
+      "lt(x_old, x_new)", "a(x_new)", "b(x_new)",
+      "x_old = x_new",    "a(x_old)", "b(x_old)"};
+  static const std::vector<std::string> kTreeAtoms = {
+      "desc(x_old, x_new)", "x_old != x_new", "b(x_new)", "a(x_new)",
+      "a(x_old)"};
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  QueryRequest request;
+  request.kind = kind;
+  const std::vector<std::string>* atoms = &kGraphAtoms;
+  SchemaRef schema = GraphZooSchema();
+  if (kind == QueryKind::kWord) {
+    atoms = &kWordAtoms;
+    schema = MakeWordSchema({"a", "b"});
+    request.nfa = std::make_shared<Nfa>(pick(0, 1) ? NfaAllAB()
+                                                   : NfaAPlusBPlus());
+  } else if (kind == QueryKind::kTree) {
+    atoms = &kTreeAtoms;
+    request.automaton = std::make_shared<TreeAutomaton>(TaComb());
+    schema = TreeRunClass(request.automaton.get()).tree_schema();
+    request.extra_pattern_cap = 3;
+  } else {
+    request.cls = std::make_shared<AllStructuresClass>(GraphZooSchema());
+  }
+  auto guard = [&] {
+    std::string g = (*atoms)[pick(0, static_cast<int>(atoms->size()) - 1)];
+    if (pick(0, 1)) {
+      g += " & " + (*atoms)[pick(0, static_cast<int>(atoms->size()) - 1)];
+    }
+    return g;
+  };
+  const int num_states = pick(2, 4);
+  const int num_rules = pick(1, 4);
+  if (kind == QueryKind::kBranching) {
+    auto system = std::make_shared<BranchingSystem>(schema);
+    system->AddRegister("x");
+    for (int q = 0; q < num_states; ++q) {
+      system->AddState("q" + std::to_string(q), q == 0, q == num_states - 1);
+    }
+    for (int r = 0; r < num_rules; ++r) {
+      std::vector<std::pair<std::string, int>> branches;
+      for (int b = pick(1, 2); b > 0; --b) {
+        branches.emplace_back(guard(), pick(0, num_states - 1));
+      }
+      system->AddRule(pick(0, num_states - 1), branches);
+    }
+    request.branching = system;
+    return request;
+  }
+  auto system = std::make_shared<DdsSystem>(schema);
+  system->AddRegister("x");
+  for (int q = 0; q < num_states; ++q) {
+    system->AddState("q" + std::to_string(q), q == 0, q == num_states - 1);
+  }
+  for (int r = 0; r < num_rules; ++r) {
+    system->AddRule(pick(0, num_states - 1), pick(0, num_states - 1),
+                    guard());
+  }
+  request.system = system;
+  return request;
+}
+
+// The same request through its positional front door, with a fresh
+// GraphCache (and `store_dir`, when given).
+QueryResult RunThroughFrontDoor(const QueryRequest& request,
+                                const std::string& store_dir) {
+  GraphCache cache;
+  QueryResult result;
+  switch (request.kind) {
+    case QueryKind::kSystem: {
+      SolveOptions options;
+      options.build_witness = request.build_witness;
+      options.strategy = request.strategy;
+      options.cache = &cache;
+      options.store_dir = store_dir;
+      const SolveResult solved =
+          SolveEmptiness(*request.system, *request.cls, options);
+      result.nonempty = solved.nonempty;
+      result.stats = solved.stats;
+      break;
+    }
+    case QueryKind::kWord: {
+      const WordSolveResult solved = SolveWordEmptiness(
+          *request.system, *request.nfa, request.build_witness,
+          request.strategy, &cache, 1, store_dir);
+      result.nonempty = solved.nonempty;
+      result.stats = solved.stats;
+      break;
+    }
+    case QueryKind::kTree: {
+      const TreeSolveResult solved = SolveTreeEmptiness(
+          *request.system, *request.automaton, /*witness_size_cap=*/0,
+          request.extra_pattern_cap, request.strategy, &cache, 1, store_dir);
+      result.nonempty = solved.nonempty;
+      result.stats = solved.stats;
+      break;
+    }
+    case QueryKind::kBranching: {
+      const BranchingSolveResult solved = SolveBranchingEmptiness(
+          *request.branching, *request.cls, &cache, 1, store_dir);
+      result.nonempty = solved.nonempty;
+      result.stats = solved.stats;
+      break;
+    }
+  }
+  result.ok = true;
+  return result;
+}
+
+TEST(ServiceTest, SeededParityWithThePositionalFrontDoors) {
+  // The service runs each kind through the front doors' own path with the
+  // spec it built at submit time. Over seeded random requests of every
+  // kind × strategy × {memory only, store_dir}, a fresh service and the
+  // positional front door over a fresh cache must report the same verdict
+  // and the same work, and the service's cache must hold the graph under
+  // the key GraphKeyFor computes — the key that keyed the flight table is
+  // the key the engine stored under.
+  std::mt19937 rng(20261017);
+  int case_id = 0;
+  int nonempty_cases = 0;
+  for (QueryKind kind : {QueryKind::kSystem, QueryKind::kWord,
+                         QueryKind::kTree, QueryKind::kBranching}) {
+    for (SolveStrategy strategy :
+         {SolveStrategy::kOnTheFly, SolveStrategy::kEager}) {
+      for (bool with_store : {false, true}) {
+        for (int rep = 0; rep < 3; ++rep, ++case_id) {
+          QueryRequest request = RandomRequest(kind, rng);
+          request.strategy = strategy;
+          request.build_witness = rep == 1;
+          const std::string tag = std::to_string(case_id);
+          QueryService::Options options;
+          options.num_workers = 1;
+          if (with_store) options.store_dir = ServiceStoreDir("parity_" + tag);
+          QueryService service(options);
+          const QueryResult served = service.Submit(request).get();
+          ASSERT_TRUE(served.ok) << "case " << tag << ": " << served.error;
+          const std::string key = service.GraphKeyFor(request);
+          ASSERT_FALSE(key.empty()) << "case " << tag;
+          EXPECT_NE(service.cache().Peek(key), nullptr)
+              << "case " << tag << ": no graph under the submit-time key";
+
+          const QueryResult direct = RunThroughFrontDoor(
+              request,
+              with_store ? ServiceStoreDir("parity_direct_" + tag) : "");
+          EXPECT_EQ(served.nonempty, direct.nonempty) << "case " << tag;
+          nonempty_cases += served.nonempty;
+          EXPECT_EQ(served.stats.edges, direct.stats.edges) << "case " << tag;
+          EXPECT_EQ(served.stats.configs, direct.stats.configs)
+              << "case " << tag;
+          EXPECT_EQ(served.stats.members_enumerated,
+                    direct.stats.members_enumerated)
+              << "case " << tag;
+          EXPECT_EQ(served.stats.members_generated,
+                    direct.stats.members_generated)
+              << "case " << tag;
+        }
+      }
+    }
+  }
+  // Both verdicts occur, so the parity covers early exits and full sweeps.
+  EXPECT_GT(nonempty_cases, 0);
+  EXPECT_LT(nonempty_cases, case_id);
+}
+
+TEST(ServiceTest, BranchingLineHonoursTheAtomCap) {
+  // The OPERATIONS.md branching example with "atom_cap":1 must fail the
+  // way a capped `system` line does: in-band, with the structured code.
+  ProtocolRequest request = ParseRequestLine(
+      R"json({"id":4,"kind":"branching","class":"all","atom_cap":1,)json"
+      R"json("system":{"registers":["x"],"states":[{"name":"a",)json"
+      R"json("initial":true},{"name":"b","accepting":true}],"rules":)json"
+      R"json([{"from":"a","branches":[{"guard":"E(x_old, x_new)",)json"
+      R"json("to":"b"},{"guard":"red(x_new)","to":"b"}]}]}})json");
+  ASSERT_TRUE(request.error.empty()) << request.error;
+  QueryService service;
+  const QueryResult result = service.Submit(request.query).get();
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error_code, EnumerationCapError::kCode);
+  const std::string line = FormatQueryResponse(request, result);
+  EXPECT_NE(line.find("\"error_code\":\"enumeration_cap\""),
+            std::string::npos)
+      << line;
 }
 
 TEST(ServiceTest, ShutdownDrainsInflightQueriesGracefully) {

@@ -147,9 +147,10 @@ TEST(TraceEngineTest, ColdSolveRecordsPhaseSpans) {
   ASSERT_EQ(SpansNamed(spans, "sweep_initial").size(), 1u);
   // A cacheless direct solve extends via the frontier-directed sweep.
   EXPECT_FALSE(SpansNamed(spans, "frontier_sweep").empty());
+  // Held in a local: FindAnnotation points into the span it is given.
+  const std::vector<TraceSpan> initial = SpansNamed(spans, "sweep_initial");
   const TraceAnnotation* enumerated =
-      FindAnnotation(SpansNamed(spans, "sweep_initial")[0],
-                     "members_enumerated");
+      FindAnnotation(initial[0], "members_enumerated");
   ASSERT_NE(enumerated, nullptr);
   EXPECT_TRUE(enumerated->is_number);
   // The witness phase runs by default.
