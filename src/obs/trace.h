@@ -5,7 +5,7 @@
 // a monotonic-clock start relative to the recorder's epoch, a duration,
 // an optional parent, and key/value annotations (members swept, edges
 // recorded, cache tier hit, resume cursor). The recorder rides the query:
-// protocol parsing creates one for a `"trace":true` request, the service
+// the session creates one for each `"trace":true` request line, the service
 // and the engine add spans as the query moves through them, and the
 // response formatter serializes the finished tree in-band as the
 // response's "trace" member.

@@ -20,13 +20,18 @@ MaintenanceLoop::MaintenanceLoop(QueryService& service,
   // sees traffic does not clobber its predecessor's log on the first
   // flush, and Prewarm() has lines to replay.
   if (options_.store_dir.empty() || options_.access_log_capacity == 0) return;
+  // Logs written before lines were stored id-less still carry their ids:
+  // keying them the same way folds their repeats together.
   std::ifstream in(AccessLogPath());
   std::string line;
   while (in && access_lines_.size() < options_.access_log_capacity &&
          std::getline(in, line)) {
-    if (line.empty() || access_index_.count(line)) continue;
-    access_lines_.push_back(line);
-    access_index_.emplace(line, std::prev(access_lines_.end()));
+    if (line.empty()) continue;
+    std::string id_less = IdentifyLine(line).IdLess();
+    if (access_index_.count(id_less)) continue;
+    access_lines_.push_back(std::move(id_less));
+    access_index_.emplace(access_lines_.back(),
+                          std::prev(access_lines_.end()));
   }
 }
 
@@ -179,8 +184,11 @@ void MaintenanceLoop::RecordAccess(const std::string& line) {
       line.empty()) {
     return;
   }
+  // Lines that differ only in a leading numeric id ask the same query:
+  // keep one id-less line for them.
+  std::string id_less = IdentifyLine(line).IdLess();
   std::lock_guard<std::mutex> lock(access_mutex_);
-  auto it = access_index_.find(line);
+  auto it = access_index_.find(id_less);
   if (it != access_index_.end()) {
     // Re-accessed: move to the warm end so eviction drops colder lines.
     access_lines_.splice(access_lines_.end(), access_lines_, it->second);
@@ -189,8 +197,9 @@ void MaintenanceLoop::RecordAccess(const std::string& line) {
       access_index_.erase(access_lines_.front());
       access_lines_.pop_front();
     }
-    access_lines_.push_back(line);
-    access_index_.emplace(line, std::prev(access_lines_.end()));
+    access_lines_.push_back(std::move(id_less));
+    access_index_.emplace(access_lines_.back(),
+                          std::prev(access_lines_.end()));
   }
   access_dirty_ = true;
 }

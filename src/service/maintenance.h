@@ -22,10 +22,12 @@
 //   3. *Sweep.* With disk caps configured, GraphStore::Sweep enforces
 //      them on a schedule instead of only after writing queries.
 //
-// The loop also owns the *access log*: RecordAccess(line) buffers the raw
-// JSONL query lines clients send (bounded LRU of unique lines, memory
-// only — the transport thread never touches disk), and each pass persists
-// them to <store_dir>/access.jsonl via temp+rename. On startup, Prewarm()
+// The loop also owns the *access log*: RecordAccess(line) buffers the
+// JSONL query lines clients send, id-less (bounded LRU of unique lines,
+// memory only — the transport thread never touches disk): lines that
+// differ only in a leading numeric id (IdentifyLine, service/protocol.h)
+// ask the same query and share one entry. Each pass persists them to
+// <store_dir>/access.jsonl via temp+rename. On startup, Prewarm()
 // replays the persisted log through the protocol parser and asks the
 // service to promote each request's graph from the store into the memory
 // tier — a restarted daemon answers its first real queries from a warm
@@ -40,6 +42,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -108,8 +111,9 @@ class MaintenanceLoop {
   /// of graphs now warm. Counted into stats as prewarm_loads.
   std::uint64_t Prewarm();
 
-  /// Remembers a client's raw query line for the access log. Cheap and
-  /// nonblocking (memory only); call from transport threads freely.
+  /// Remembers a client's query line, without a leading numeric id, for
+  /// the access log. Cheap and nonblocking (memory only); call from
+  /// transport threads freely.
   void RecordAccess(const std::string& line);
 
   MaintenanceStats GetStats() const;
@@ -124,11 +128,12 @@ class MaintenanceLoop {
   QueryService& service_;
   const MaintenanceOptions options_;
 
-  // The access buffer: unique lines, least-recently-accessed first, so
-  // capacity eviction drops the coldest request.
+  // The access buffer: unique id-less lines, least-recently-accessed
+  // first, so capacity eviction drops the coldest request. The index keys
+  // view the list's strings, so each line is held once.
   mutable std::mutex access_mutex_;
   std::list<std::string> access_lines_;
-  std::unordered_map<std::string, std::list<std::string>::iterator>
+  std::unordered_map<std::string_view, std::list<std::string>::iterator>
       access_index_;
   bool access_dirty_ = false;
 

@@ -461,6 +461,37 @@ ProtocolRequest ParseRequestLine(const std::string& line) {
   return request;
 }
 
+std::string LineIdentity::IdLess() const {
+  if (!id_stripped()) return std::string(rest);
+  std::string line;
+  line.reserve(1 + rest.size());  // the access log keeps it: no slack
+  line += '{';
+  line += rest;
+  return line;
+}
+
+LineIdentity IdentifyLine(std::string_view line) {
+  constexpr std::string_view kHead = "{\"id\":";
+  LineIdentity identity;
+  identity.rest = line;
+  if (line.substr(0, kHead.size()) != kHead) return identity;
+  // The characters the JSON parser's number scan consumes; the token is
+  // then validated by that same parser.
+  const std::size_t end =
+      std::min(line.find_first_not_of("0123456789.eE+-", kHead.size()),
+               line.size());
+  // Another member must follow. Lines whose leading ids are different
+  // valid numbers parse alike, so they can share what one of them
+  // prepared.
+  if (line.substr(end, 1) != ",") return identity;
+  const std::optional<JsonValue> id =
+      ParseJson(line.substr(kHead.size(), end - kHead.size()));
+  if (!id.has_value() || !id->is_number()) return identity;
+  identity.id_json = JsonToString(*id);
+  identity.rest = line.substr(end + 1);
+  return identity;
+}
+
 std::string FormatQueryResponse(const ProtocolRequest& request,
                                 const QueryResult& result) {
   if (!result.ok) {

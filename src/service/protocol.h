@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -83,6 +84,27 @@ struct ProtocolRequest {
 /// Parses one JSONL request line. Never throws: malformed input comes
 /// back as a ProtocolRequest with `error` set (and any parsable id).
 ProtocolRequest ParseRequestLine(const std::string& line);
+
+/// A request line split into its id and the query it asks. A line that
+/// opens with a numeric id member — `{"id":<number>,` byte for byte —
+/// asks the same query as its id-less form `{…`: `id_json` holds the id
+/// as ParseRequestLine echoes it (re-serialized, so `1e2` echoes `100`)
+/// and `rest` the bytes after the member's comma. Any other line (no id, a
+/// string id, an id that is not the first member, whitespace around it)
+/// stays whole: `id_json` is empty and `rest` is the line. The spec memo
+/// and the access log both key lines this way.
+struct LineIdentity {
+  std::string id_json;
+  std::string_view rest;
+
+  bool id_stripped() const { return !id_json.empty(); }
+  /// The id-less line: `{` + rest, or the whole line.
+  std::string IdLess() const;
+};
+
+/// Splits `line` (which must outlive the result). Never parses more than
+/// the leading id token.
+LineIdentity IdentifyLine(std::string_view line);
 
 std::string FormatQueryResponse(const ProtocolRequest& request,
                                 const QueryResult& result);

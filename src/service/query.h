@@ -80,6 +80,26 @@ struct QueryRequest {
   std::shared_ptr<TraceRecorder> trace;
 };
 
+/// A request made ready to run: what QueryService::Prepare derives once
+/// and every execution of the same request then shares. Immutable once
+/// built, so one instance may back any number of concurrent queries (the
+/// session layer's spec memo hands the same instance to every repeat of a
+/// request line); everything per-execution — the trace recorder, the
+/// promise, the flight role — lives with the queued task instead.
+struct PreparedQuery {
+  /// The inputs, untraced: `request.trace` is always null.
+  QueryRequest request;
+  /// The request asked to be traced; each execution records into a fresh
+  /// recorder of its own.
+  bool traced = false;
+  /// The protocol's optional disk-tier attach ("" = none).
+  std::string store_dir;
+  /// The graph the query needs, keyed; its key is empty when the spec
+  /// could not be built, and `setup_error` says why.
+  GraphSpec spec;
+  std::string setup_error;
+};
+
 struct QueryResult {
   /// True iff the query ran to a verdict; false means `error` explains
   /// what went wrong (errors are delivered in-band, never as a broken
@@ -181,6 +201,9 @@ struct RecentQuery {
     "Partial store entries driven to completion by maintenance")               \
   X(prewarm_loads, Counter, "Graphs promoted into memory by startup prewarm")  \
   X(repacks, Counter, "Pack generations published by the maintenance loop")    \
+  X(spec_memo_hits, Counter,                                                   \
+    "Query lines served a prepared query by the spec memo (no parse)")         \
+  X(spec_memo_entries, Gauge, "Prepared query lines the spec memo holds")      \
   X(uptime_ms, Gauge, "Milliseconds since the service started")
 
 /// Aggregated per-service counters; see QueryService::Stats().

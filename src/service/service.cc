@@ -107,32 +107,37 @@ QueryService::QueryService(Options options)
 
 QueryService::~QueryService() { Shutdown(); }
 
-void QueryService::ComputeTaskSpec(Task& task) {
+std::shared_ptr<const PreparedQuery> QueryService::Prepare(
+    QueryRequest request, std::string store_dir) {
+  auto prepared = std::make_shared<PreparedQuery>();
+  prepared->traced = request.trace != nullptr;
+  request.trace.reset();
+  prepared->request = std::move(request);
+  prepared->store_dir = std::move(store_dir);
+  // The spec builds every backend the query runs on — TreeRunClassFor
+  // runs the automaton's lazy analyses — so nothing is left to mutate
+  // once the prepared query is shared.
   try {
-    task.spec = SpecOf(task.request);
+    prepared->spec = SpecOf(prepared->request);
   } catch (const std::exception& e) {
-    task.setup_error = e.what();
+    prepared->setup_error = e.what();
   }
+  return prepared;
 }
 
-void QueryService::RecordRecipe(const std::string& key,
-                                const QueryRequest& request) {
-  // A recipe keeps the inputs, not the client's trace recorder: a replay
-  // must not record into a trace whose response was already sent.
-  QueryRequest recipe = request;
-  recipe.trace.reset();
+void QueryService::RecordRecipe(
+    const std::shared_ptr<const PreparedQuery>& query) {
+  // Every request over a key rebuilds the same graph, so the first recipe
+  // stays. It is untraced, so a replay never records into a trace whose
+  // response was already sent.
   std::lock_guard<std::mutex> lock(recipes_mutex_);
-  auto it = recipes_.find(key);
-  if (it != recipes_.end()) {
-    it->second = std::move(recipe);  // freshen; keep the FIFO position
-    return;
-  }
+  if (recipes_.count(query->spec.key) > 0) return;
   if (recipes_.size() >= kMaxRecipes) {
     recipes_.erase(recipe_order_.front());
     recipe_order_.pop_front();
   }
-  recipe_order_.push_back(key);
-  recipes_.emplace(key, std::move(recipe));
+  recipes_.emplace(query->spec.key, query);
+  recipe_order_.push_back(query->spec.key);
 }
 
 std::vector<std::pair<std::string, QueryRequest>>
@@ -140,8 +145,8 @@ QueryService::SnapshotRecipes() const {
   std::lock_guard<std::mutex> lock(recipes_mutex_);
   std::vector<std::pair<std::string, QueryRequest>> out;
   out.reserve(recipe_order_.size());
-  for (const std::string& key : recipe_order_) {
-    out.emplace_back(key, recipes_.at(key));
+  for (const std::string_view key : recipe_order_) {
+    out.emplace_back(std::string(key), recipes_.at(key)->request);
   }
   return out;
 }
@@ -165,7 +170,8 @@ bool QueryService::Prewarm(const QueryRequest& request) {
 }
 
 void QueryService::RegisterFlight(Task& task) {
-  if (!task.setup_error.empty()) return;
+  const std::string& key = task.query->spec.key;
+  if (!task.query->setup_error.empty()) return;
   // A complete cached graph serves the query with zero build work: run it
   // directly, off the flight table, so hot complete keys never serialize.
   // A *partial* entry goes through the table as a resume flight — without
@@ -173,14 +179,14 @@ void QueryService::RegisterFlight(Task& task) {
   // the entry and duplicate the same suffix sweep (the progress-guarded
   // insert keeps only the furthest, so all but one copy is wasted work).
   const std::shared_ptr<const SubTransitionGraph> cached =
-      cache_.Peek(task.spec.key);
+      cache_.Peek(key);
   if (cached != nullptr && cached->complete()) {
     task.role = Role::kDirect;
     return;
   }
   task.resume = cached != nullptr;
   std::lock_guard<std::mutex> flock(flights_mutex_);
-  auto it = flights_.find(task.spec.key);
+  auto it = flights_.find(key);
   if (it != flights_.end()) {
     task.role = Role::kJoiner;
     task.join_on = it->second.done;
@@ -193,7 +199,7 @@ void QueryService::RegisterFlight(Task& task) {
   } else {
     task.role = Role::kLeader;
     task.lead_done = std::make_shared<std::promise<void>>();
-    flights_.emplace(task.spec.key, Flight{task.lead_done->get_future()});
+    flights_.emplace(key, Flight{task.lead_done->get_future()});
     std::lock_guard<std::mutex> slock(stats_mutex_);
     if (task.resume) {
       ++resume_leads_;
@@ -203,13 +209,27 @@ void QueryService::RegisterFlight(Task& task) {
   }
 }
 
-std::future<QueryResult> QueryService::Submit(QueryRequest request) {
+QueryService::Task QueryService::MakeTask(
+    std::shared_ptr<const PreparedQuery> query,
+    std::shared_ptr<TraceRecorder> trace) {
   Task task;
-  task.request = std::move(request);
-  std::future<QueryResult> future = task.promise.get_future();
-  ComputeTaskSpec(task);  // backend and key: keep them off the lock
-  if (task.setup_error.empty()) RecordRecipe(task.spec.key, task.request);
+  task.query = std::move(query);
+  task.trace = std::move(trace);
+  if (task.query->setup_error.empty()) RecordRecipe(task.query);
   task.submitted_at = std::chrono::steady_clock::now();
+  return task;
+}
+
+std::future<QueryResult> QueryService::Submit(QueryRequest request) {
+  std::shared_ptr<TraceRecorder> trace = request.trace;
+  return Submit(Prepare(std::move(request)), std::move(trace));
+}
+
+std::future<QueryResult> QueryService::Submit(
+    std::shared_ptr<const PreparedQuery> query,
+    std::shared_ptr<TraceRecorder> trace) {
+  Task task = MakeTask(std::move(query), std::move(trace));
+  std::future<QueryResult> future = task.promise.get_future();
   {
     // Registration and enqueue are atomic together: a joiner must never
     // precede its leader in the queue, or a one-worker pool would pick up
@@ -233,13 +253,10 @@ std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
   tasks.reserve(requests.size());
   futures.reserve(requests.size());
   for (QueryRequest& request : requests) {
-    Task task;
-    task.request = std::move(request);
-    futures.push_back(task.promise.get_future());
-    ComputeTaskSpec(task);  // per-request backend and key, unlocked
-    if (task.setup_error.empty()) RecordRecipe(task.spec.key, task.request);
-    task.submitted_at = std::chrono::steady_clock::now();
-    tasks.push_back(std::move(task));
+    // Per-request backend and key, unlocked.
+    std::shared_ptr<TraceRecorder> trace = request.trace;
+    tasks.push_back(MakeTask(Prepare(std::move(request)), std::move(trace)));
+    futures.push_back(tasks.back().promise.get_future());
   }
   {
     // One lock for the whole batch: every request is registered in the
@@ -286,7 +303,7 @@ void QueryService::WorkerLoop() {
 }
 
 QueryResult QueryService::RunQuery(const Task& task) {
-  const QueryRequest& request = task.request;
+  const QueryRequest& request = task.query->request;
   SolveOptions options;
   // Trees have no generic amalgamation, so no witness to reconstruct.
   options.build_witness =
@@ -298,16 +315,16 @@ QueryResult QueryService::RunQuery(const Task& task) {
   options.num_threads = request.num_threads > 0 ? request.num_threads
                                                 : options_.build_threads;
   options.relational_atom_cap = request.atom_cap;
-  options.trace = request.trace.get();
+  options.trace = task.trace.get();
   QueryResult result;
   if (request.kind == QueryKind::kBranching) {
     BranchingSolveResult solved =
-        SolveBranchingEmptiness(*request.branching, task.spec, options);
+        SolveBranchingEmptiness(*request.branching, task.query->spec, options);
     result.nonempty = solved.nonempty;
     result.stats = solved.stats;
   } else {
     SolveResult solved =
-        ExplorationEngine(*request.system, task.spec, options).Run();
+        ExplorationEngine(*request.system, task.query->spec, options).Run();
     result.nonempty = solved.nonempty;
     result.stats = solved.stats;
   }
@@ -317,7 +334,8 @@ QueryResult QueryService::RunQuery(const Task& task) {
 
 QueryResult QueryService::Execute(Task& task) {
   const auto start = std::chrono::steady_clock::now();
-  TraceRecorder* trace = task.request.trace.get();
+  const PreparedQuery& query = *task.query;
+  TraceRecorder* trace = task.trace.get();
   QueryResult result;
   {
     // The root span covers everything the service does on the worker
@@ -326,14 +344,14 @@ QueryResult QueryService::Execute(Task& task) {
     // before the rollup below reads durations, hence the scope.
     ScopedSpan query_span(trace, "query");
     if (trace != nullptr) {
-      query_span.Annotate("kind", QueryKindName(task.request.kind));
+      query_span.Annotate("kind", QueryKindName(query.request.kind));
       query_span.Annotate("role", task.role == Role::kLeader   ? "leader"
                                   : task.role == Role::kJoiner ? "joiner"
                                                                : "direct");
       trace->RecordSpan("queue_wait", task.submitted_at, start);
     }
-    if (!task.setup_error.empty()) {
-      result.error = task.setup_error;
+    if (!query.setup_error.empty()) {
+      result.error = query.setup_error;
     } else {
       if (task.role == Role::kJoiner) {
         ScopedSpan wait_span(trace, "coalesced_wait");
@@ -365,12 +383,12 @@ QueryResult QueryService::Execute(Task& task) {
       // cache path) and the key becomes eligible for a fresh flight.
       {
         std::lock_guard<std::mutex> flock(flights_mutex_);
-        flights_.erase(task.spec.key);
+        flights_.erase(query.spec.key);
       }
       task.lead_done->set_value();
     }
   }
-  result.trace = task.request.trace;
+  result.trace = task.trace;
   result.latency_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
@@ -380,8 +398,9 @@ QueryResult QueryService::Execute(Task& task) {
                                 start - task.submitted_at)
                                 .count());
   RecentQuery entry;
-  entry.key = task.spec.key.empty() ? std::string() : HashedKey(task.spec.key);
-  entry.kind = QueryKindName(task.request.kind);
+  entry.key =
+      query.spec.key.empty() ? std::string() : HashedKey(query.spec.key);
+  entry.kind = QueryKindName(query.request.kind);
   entry.ok = result.ok;
   entry.nonempty = result.nonempty;
   entry.coalesced = result.coalesced;
@@ -500,6 +519,8 @@ ServiceStats QueryService::Stats() const {
     stats.store_repacks = counters.repacks;
     stats.store_pack_entries = store->PackEntryCount();
   }
+  stats.spec_memo_hits = spec_memo_.hits();
+  stats.spec_memo_entries = spec_memo_.entries();
   stats.uptime_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_time_)

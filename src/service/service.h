@@ -9,6 +9,10 @@
 //   * a fixed worker pool executes submitted queries asynchronously
 //     (Submit returns a std::future<QueryResult>; SubmitBatch returns one
 //     future per request);
+//   * a query is prepared once — Prepare derives its keyed GraphSpec into
+//     an immutable PreparedQuery — and may then be submitted any number of
+//     times; the sessions' spec memo (spec_memo.h) reuses one for every
+//     repeat of a request line;
 //   * one GraphCache (optionally LRU-capped and disk-backed) is shared by
 //     every query, so distinct requests over the same (class, k, guard
 //     set) reuse one sub-transition graph;
@@ -50,6 +54,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -57,6 +62,7 @@
 
 #include "obs/metrics.h"
 #include "service/query.h"
+#include "service/spec_memo.h"
 #include "solver/cache.h"
 
 namespace amalgam {
@@ -95,9 +101,22 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues one query; the future resolves when a worker has finished it
-  /// (errors arrive in-band via QueryResult::ok/error — the future itself
-  /// never throws). Throws std::runtime_error after Shutdown().
+  /// Derives everything about `request` that does not change between
+  /// executions: its keyed GraphSpec (backend, guards, k, key — the
+  /// expensive part) or the error that prevents one. The request is kept
+  /// untraced; `traced` records whether it carried a recorder. The result
+  /// is immutable and may back any number of concurrent Submits.
+  static std::shared_ptr<const PreparedQuery> Prepare(
+      QueryRequest request, std::string store_dir = "");
+
+  /// Enqueues one execution of `query`, recording into `trace` when
+  /// non-null; the future resolves when a worker has finished it (errors
+  /// arrive in-band via QueryResult::ok/error — the future itself never
+  /// throws). Throws std::runtime_error after Shutdown().
+  std::future<QueryResult> Submit(std::shared_ptr<const PreparedQuery> query,
+                                  std::shared_ptr<TraceRecorder> trace);
+
+  /// Prepare, then enqueue with the request's own recorder.
   std::future<QueryResult> Submit(QueryRequest request);
 
   /// Enqueues a batch. All single-flight registrations happen before any
@@ -157,6 +176,9 @@ class QueryService {
 
   /// The shared cache (for tests and admin paths; thread-safe itself).
   GraphCache& cache() { return cache_; }
+  /// The prepared queries of repeated request lines, shared by every
+  /// session over this service (thread-safe itself).
+  SpecMemo& spec_memo() { return spec_memo_; }
   /// Attaches the disk tier at `dir` if the service has none yet (a
   /// constructor-supplied store_dir counts). Returns "" on success — which
   /// includes re-naming the already-attached directory — and an error
@@ -189,32 +211,31 @@ class QueryService {
   };
 
   struct Task {
-    QueryRequest request;
+    // What to run — shared with every other execution of the same
+    // request — and this execution's own recorder (null: untraced).
+    std::shared_ptr<const PreparedQuery> query;
+    std::shared_ptr<TraceRecorder> trace;
     std::promise<QueryResult> promise;
     Role role = Role::kDirect;
     // The flight extends a cached partial entry rather than building cold
     // (counts toward resume_leads/resume_coalesced instead of the cold
     // single-flight counters).
     bool resume = false;
-    // The graph this query needs, keyed; its key is empty when the spec
-    // could not be built (setup_error says why).
-    GraphSpec spec;
     std::shared_ptr<std::promise<void>> lead_done;  // kLeader
     std::shared_future<void> join_on;               // kJoiner
-    std::string setup_error;                // non-empty: fail without running
     // When the task entered the queue; worker pickup minus this is the
     // queue wait (histogram + retroactive "queue_wait" span).
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// Builds the request's keyed GraphSpec — backend, guards, k and key,
-  /// the one derivation the engine then runs on (the expensive part, so it
-  /// runs before any lock is taken). Fills spec/setup_error.
-  static void ComputeTaskSpec(Task& task);
+  /// A task for one execution of `query`: records its recipe and stamps
+  /// the submit time; the caller registers and enqueues it.
+  Task MakeTask(std::shared_ptr<const PreparedQuery> query,
+                std::shared_ptr<TraceRecorder> trace);
 
-  /// Remembers `request` as the recipe for `key` (bounded FIFO; see
-  /// SnapshotRecipes).
-  void RecordRecipe(const std::string& key, const QueryRequest& request);
+  /// Remembers `query` as the recipe for its key unless one is known
+  /// (bounded FIFO; see SnapshotRecipes).
+  void RecordRecipe(const std::shared_ptr<const PreparedQuery>& query);
 
   /// Registers the task in the single-flight table and assigns its role.
   /// Caller holds queue_mutex_ (registration must be atomic with the
@@ -249,14 +270,17 @@ class QueryService {
   std::mutex flights_mutex_;
   std::unordered_map<std::string, Flight> flights_;
 
+  SpecMemo spec_memo_;
+
   // The recipe registry: enough requests to re-derive any recently-queried
   // key's build context. Bounded FIFO — at the cap the oldest recipe goes;
-  // requests hold their inputs by shared_ptr, so a recipe is a few
-  // refcounts, not a copy of the system.
+  // a recipe is a pointer to the shared, untraced prepared query, and the
+  // keys view that query's spec.key.
   static constexpr std::size_t kMaxRecipes = 1024;
   mutable std::mutex recipes_mutex_;
-  std::unordered_map<std::string, QueryRequest> recipes_;
-  std::deque<std::string> recipe_order_;  // insertion order for eviction
+  std::unordered_map<std::string_view, std::shared_ptr<const PreparedQuery>>
+      recipes_;
+  std::deque<std::string_view> recipe_order_;  // insertion order
 
   // Guards the one-directory-per-service disk-tier attachment.
   std::mutex store_attach_mutex_;

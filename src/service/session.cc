@@ -87,6 +87,18 @@ ServiceStats Session::SnapshotStats() const {
 
 Session::LineOutcome Session::HandleLine(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
+  // A repeat of an earlier query line — byte for byte apart from a leading
+  // numeric id — reuses the query that line prepared: no parse, no spec.
+  const LineIdentity identity = IdentifyLine(line);
+  const SpecMemo::Key memo_key{identity.rest, identity.id_stripped()};
+  SpecMemo::Found found = service_.spec_memo().Find(memo_key);
+  ProtocolRequest echo;  // carries only the id the response echoes
+  if (found.query != nullptr) {
+    echo.id_json = identity.id_stripped() ? identity.id_json
+                                          : std::move(found.id_json);
+    SubmitQuery(line, std::move(echo), std::move(found.query));
+    return LineOutcome::kContinue;
+  }
   ProtocolRequest request = ParseRequestLine(line);
   if (!request.error.empty()) {
     PushRendered(FormatErrorResponse(request, request.error));
@@ -94,45 +106,13 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
   }
   switch (request.op) {
     case ProtocolRequest::Op::kQuery: {
-      if (!request.store_dir.empty()) {
-        const std::string error = service_.TryAttachStore(request.store_dir);
-        if (!error.empty()) {
-          PushRendered(FormatErrorResponse(request, error));
-          return LineOutcome::kContinue;
-        }
+      std::shared_ptr<const PreparedQuery> prepared = QueryService::Prepare(
+          std::move(request.query), std::move(request.store_dir));
+      if (found.admit) {
+        service_.spec_memo().Admit(memo_key, prepared, request.id_json);
       }
-      if (options_.max_inflight > 0 && inflight() >= options_.max_inflight) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        if (counters_ != nullptr) {
-          counters_->overload_rejections.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        }
-        PushRendered(FormatErrorResponse(
-            request,
-            "per-connection inflight cap (" +
-                std::to_string(options_.max_inflight) +
-                ") reached; read pending responses before sending more",
-            "overloaded"));
-        return LineOutcome::kContinue;
-      }
-      std::shared_future<QueryResult> future;
-      try {
-        future = service_.Submit(std::move(request.query)).share();
-      } catch (const std::exception& e) {
-        PushRendered(FormatErrorResponse(request, e.what()));
-        return LineOutcome::kContinue;
-      }
-      // Accepted: the raw line joins the access log so a restarted daemon
-      // can prewarm this query's graph.
-      if (options_.maintenance != nullptr) {
-        options_.maintenance->RecordAccess(line);
-      }
-      // `request` keeps its id for the echo; the query inputs moved into
-      // the service.
-      Push(Item{[request = std::move(request), future] {
-                  return FormatQueryResponse(request, future.get());
-                },
-                /*is_query=*/true});
+      echo.id_json = std::move(request.id_json);
+      SubmitQuery(line, std::move(echo), std::move(prepared));
       return LineOutcome::kContinue;
     }
     case ProtocolRequest::Op::kStats:
@@ -198,6 +178,50 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
       return LineOutcome::kShutdown;
   }
   return LineOutcome::kContinue;
+}
+
+void Session::SubmitQuery(const std::string& line, ProtocolRequest echo,
+                          std::shared_ptr<const PreparedQuery> query) {
+  if (!query->store_dir.empty()) {
+    const std::string error = service_.TryAttachStore(query->store_dir);
+    if (!error.empty()) {
+      PushRendered(FormatErrorResponse(echo, error));
+      return;
+    }
+  }
+  if (options_.max_inflight > 0 && inflight() >= options_.max_inflight) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    if (counters_ != nullptr) {
+      counters_->overload_rejections.fetch_add(1, std::memory_order_relaxed);
+    }
+    PushRendered(FormatErrorResponse(
+        echo,
+        "per-connection inflight cap (" +
+            std::to_string(options_.max_inflight) +
+            ") reached; read pending responses before sending more",
+        "overloaded"));
+    return;
+  }
+  // Each execution records into a recorder of its own, created here so
+  // its epoch covers the whole service-side life of the query.
+  std::shared_ptr<TraceRecorder> trace =
+      query->traced ? std::make_shared<TraceRecorder>() : nullptr;
+  std::shared_future<QueryResult> future;
+  try {
+    future = service_.Submit(std::move(query), std::move(trace)).share();
+  } catch (const std::exception& e) {
+    PushRendered(FormatErrorResponse(echo, e.what()));
+    return;
+  }
+  // Accepted: the line joins the access log so a restarted daemon can
+  // prewarm this query's graph.
+  if (options_.maintenance != nullptr) {
+    options_.maintenance->RecordAccess(line);
+  }
+  Push(Item{[echo = std::move(echo), future] {
+              return FormatQueryResponse(echo, future.get());
+            },
+            /*is_query=*/true});
 }
 
 void Session::HandleOversizedLine() {

@@ -1,8 +1,10 @@
 // One client's JSONL conversation with the query service.
 //
 // A Session owns everything between a transport and the QueryService for a
-// single client: it parses request lines (service/protocol.h), submits
-// queries, applies per-connection admission control, and emits response
+// single client: it parses request lines (service/protocol.h) — or, for a
+// repeated query line, takes the query an earlier repeat prepared from the
+// service's spec memo (service/spec_memo.h) — submits queries, applies
+// per-connection admission control, and emits response
 // lines *in request order* through a dedicated writer thread — the PR-5
 // dedicated-writer pattern, one writer per connection. The transport —
 // stdin/stdout in amalgamd's --stdio mode, a socket connection in the
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -39,6 +42,7 @@
 namespace amalgam {
 
 class MaintenanceLoop;
+struct ProtocolRequest;
 
 /// Transport-wide counters shared by every Session of one daemon (plain
 /// atomics: the sessions' writer threads, the event loop and the stats
@@ -126,6 +130,12 @@ class Session {
     std::function<std::string()> render;
     bool is_query = false;  // counts toward the inflight cap
   };
+
+  /// The query half of HandleLine, the same for a memo hit and a parsed
+  /// line: store attach, inflight cap, a fresh trace recorder when the
+  /// query is traced, submit, access log, and the response echoing `echo`.
+  void SubmitQuery(const std::string& line, ProtocolRequest echo,
+                   std::shared_ptr<const PreparedQuery> query);
 
   void Push(Item item);
   void PushRendered(std::string line);

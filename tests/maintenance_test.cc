@@ -4,7 +4,8 @@
 // access log, fold the loose tier into the pack, and leave the entry
 // servable with zero enumeration; prewarm must promote persisted graphs
 // into the memory tier across a restart; the access log must stay
-// bounded, LRU-ordered, and survive flush/reload; and the {"op":"maintain"}
+// bounded, LRU-ordered and id-less, and survive flush/reload; and the
+// {"op":"maintain"}
 // admin op must report the pass through the session layer.
 #include <gtest/gtest.h>
 
@@ -204,6 +205,69 @@ TEST(MaintenanceTest, AccessLogIsBoundedPersistedAndLruOrdered) {
   while (std::getline(in, line)) ++count;
   EXPECT_EQ(count, 4u);
   service.Shutdown();
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+TEST(MaintenanceTest, AccessLogKeepsOneIdLessLinePerQuery) {
+  // Three lines that differ only in their leading id ask one query: the
+  // log keeps it once, without an id, and prewarm replays it once.
+  const std::string dir = MaintStoreDir("id_less_log");
+  QueryService::Options options;
+  options.store_dir = dir;
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  const std::string body = std::string(kReachRedLine).substr(1);
+  {
+    QueryService service(options);
+    MaintenanceLoop loop(service, mopts);
+    {
+      Session::Options sopts;
+      sopts.maintenance = &loop;
+      Session session(service, sopts, [](const std::string&) {});
+      for (const char* id : {"1", "2", "3e0"}) {
+        session.HandleLine(std::string("{\"id\":") + id + "," + body);
+      }
+      session.Flush();
+    }
+    loop.Stop();
+    service.Shutdown();
+  }
+  const std::vector<std::string> logged = ReadLines(dir + "/access.jsonl");
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0], kReachRedLine);
+  {
+    QueryService service(options);
+    MaintenanceLoop loop(service, mopts);
+    EXPECT_EQ(loop.Prewarm(), 1u);
+    EXPECT_EQ(loop.GetStats().prewarm_loads, 1u);
+    service.Shutdown();
+  }
+
+  // A log written while lines still kept their ids parses, and folds its
+  // repeats the same way.
+  {
+    std::ofstream out(dir + "/access.jsonl", std::ios::trunc);
+    for (int id = 1; id <= 3; ++id) {
+      out << "{\"id\":" << id << "," << body << "\n";
+    }
+  }
+  {
+    QueryService service(options);
+    MaintenanceLoop loop(service, mopts);
+    EXPECT_EQ(loop.Prewarm(), 1u);
+    loop.RecordAccess(kReachRedLine);  // dirty the buffer: Stop rewrites
+    loop.Stop();
+    service.Shutdown();
+  }
+  EXPECT_EQ(ReadLines(dir + "/access.jsonl"),
+            std::vector<std::string>{kReachRedLine});
 }
 
 TEST(MaintenanceTest, ReplayedRecipeNeverRecordsIntoTheClientTrace) {

@@ -11,9 +11,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1021,6 +1025,345 @@ TEST(ServiceTest, JsonRejectsHostileNestingDepthWithoutCrashing) {
   // Reasonable nesting still parses.
   std::string deep = std::string(50, '[') + "1" + std::string(50, ']');
   EXPECT_TRUE(ParseJson(deep).has_value());
+}
+
+// ---- The spec memo (repeated query lines are prepared once). ----
+
+// Feeds `lines` to one Session over `service`, one at a time (each
+// response is emitted before the next line goes in, so the cache state a
+// line meets does not depend on worker timing), and returns the responses.
+std::vector<std::string> SessionResponses(
+    QueryService& service, const std::vector<std::string>& lines) {
+  std::mutex mutex;
+  std::vector<std::string> out;
+  Session session(service, Session::Options{}, [&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(mutex);
+    out.push_back(line);
+  });
+  for (const std::string& line : lines) {
+    session.HandleLine(line);
+    session.Flush();
+  }
+  return out;
+}
+
+// The same lines through the parse-and-submit path alone — what a session
+// did for every query line before the memo: parse, attach the store,
+// submit the request, format.
+std::vector<std::string> UnmemoizedResponses(
+    QueryService& service, const std::vector<std::string>& lines) {
+  std::vector<std::string> out;
+  for (const std::string& line : lines) {
+    const ProtocolRequest request = ParseRequestLine(line);
+    if (!request.error.empty()) {
+      out.push_back(FormatErrorResponse(request, request.error));
+      continue;
+    }
+    if (!request.store_dir.empty()) {
+      const std::string error = service.TryAttachStore(request.store_dir);
+      if (!error.empty()) {
+        out.push_back(FormatErrorResponse(request, error));
+        continue;
+      }
+    }
+    out.push_back(
+        FormatQueryResponse(request, service.Submit(request.query).get()));
+  }
+  return out;
+}
+
+// A response with its wall-clock fields (latency_ms, and each span's
+// start_us/dur_us) removed, re-serialized.
+std::string WithoutTimings(const std::string& response) {
+  std::optional<JsonValue> json = ParseJson(response);
+  EXPECT_TRUE(json.has_value()) << response;
+  if (!json.has_value()) return response;
+  std::function<void(JsonValue&)> strip = [&](JsonValue& value) {
+    auto& members = value.object;
+    std::erase_if(members, [](const auto& member) {
+      return member.first == "latency_ms" || member.first == "start_us" ||
+             member.first == "dur_us";
+    });
+    for (auto& member : members) strip(member.second);
+    for (JsonValue& element : value.array) strip(element);
+  };
+  strip(*json);
+  return JsonToString(*json);
+}
+
+// Each line three times in a row: a first sighting, the second (which
+// admits the prepared query) and a memo hit.
+std::vector<std::string> Thrice(const std::vector<std::string>& lines) {
+  std::vector<std::string> out;
+  for (const std::string& line : lines) out.insert(out.end(), 3, line);
+  return out;
+}
+
+// Sends `lines` through a Session on a fresh service, and through the
+// unmemoized path on another fresh service, and expects the same
+// responses apart from timings. `store_dir` (when set) is the service's
+// constructor store and `wipe` a directory emptied before each service
+// starts, so neither run sees the other's persisted graphs.
+void ExpectMemoParity(const std::vector<std::string>& lines,
+                      const std::string& store_dir, const std::string& wipe,
+                      std::uint64_t expected_hits) {
+  QueryService::Options options;
+  options.num_workers = 2;
+  options.store_dir = store_dir;
+  auto fresh = [&] {
+    if (!wipe.empty()) {
+      fs::remove_all(wipe);
+      fs::create_directories(wipe);
+    }
+    return std::make_unique<QueryService>(options);
+  };
+  std::vector<std::string> expected;
+  {
+    auto service = fresh();
+    expected = UnmemoizedResponses(*service, lines);
+  }
+  std::vector<std::string> actual;
+  {
+    auto service = fresh();
+    actual = SessionResponses(*service, lines);
+    service->Drain();
+    EXPECT_EQ(service->Stats().spec_memo_hits, expected_hits);
+  }
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(WithoutTimings(actual[i]), WithoutTimings(expected[i]))
+        << "line " << i << ": " << lines[i];
+  }
+}
+
+TEST(ServiceTest, SpecMemoKeepsEveryLinesOwnIdAndTrace) {
+  const std::string base =
+      R"("kind":"system","class":"all","system":"reach_red"})";
+  const std::vector<std::string> lines = Thrice({
+      // Numeric leading ids share one entry, and each line echoes its own
+      // id the way the parser prints it.
+      "{\"id\":1," + base,
+      "{\"id\":-7," + base,
+      "{\"id\":1e2," + base,
+      "{\"id\":1.0," + base,
+      // Whole-line keys: a string id, no id, an id that is not first.
+      "{\"id\":\"abc\"," + base,
+      "{" + base,
+      R"({"kind":"system","class":"all","system":"reach_red","id":5})",
+      // A duplicated id: the first member wins.
+      "{\"id\":1,\"id\":2," + base,
+      // Traced: every response carries only its own spans.
+      R"({"id":3,"kind":"words","nfa":"aplus_bplus","system":"zigzag",)"
+      R"("trace":true})",
+      // A setup error (the class's schema lacks the system's symbols) is
+      // memoized like any prepared query.
+      "{\"id\":4,\"kind\":\"system\",\"class\":\"orders\","
+      "\"system\":\"reach_red\"}",
+      // Parse errors are never memoized, however the line opens.
+      R"({"id":1,"kind":)",
+      R"({"id":1,"kind":"nope","system":"reach_red"})",
+      R"({"id":1,})",
+  });
+  // Per numeric-id group the first line admits on its second sighting and
+  // every later one hits: 1 + 3 + 3 + 3, then one hit each for the string
+  // id, no id, id last, the duplicate, the traced and the setup error.
+  ExpectMemoParity(lines, "", "", 10 + 6);
+
+  QueryService service;
+  const std::vector<std::string> responses = SessionResponses(service, lines);
+  ASSERT_EQ(responses.size(), lines.size());
+  auto id_of = [](const std::string& response) {
+    const std::optional<JsonValue> json = ParseJson(response);
+    const JsonValue* id = json->Get("id");
+    return id == nullptr ? std::string("<none>") : JsonToString(*id);
+  };
+  const std::vector<std::string> ids = {"1",       "-7",    "100", "1",
+                                        "\"abc\"", "<none>", "5",  "1",
+                                        "3",       "4",     "<none>", "1",
+                                        "<none>"};
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(id_of(responses[i]), ids[i / 3]) << responses[i];
+  }
+  for (std::size_t i = 24; i < 27; ++i) {
+    const JsonValue response = *ParseJson(responses[i]);
+    const JsonValue* trace = response.Get("trace");
+    ASSERT_NE(trace, nullptr) << responses[i];
+    ASSERT_EQ(trace->array.size(), 1u) << responses[i];
+    EXPECT_EQ(trace->array[0].GetString("name"), "query");
+  }
+}
+
+TEST(ServiceTest, SpecMemoKeepsThePerLineStoreAttach) {
+  const std::string dir = ServiceStoreDir("memo_attach");
+  const std::string other = ServiceStoreDir("memo_attach_other");
+  const std::string base =
+      R"("kind":"system","class":"all","system":"reach_red","store_dir":")";
+  // The service has no store: the first line attaches `dir`.
+  ExpectMemoParity(Thrice({"{\"id\":1," + base + dir + "\"}",
+                           "{\"id\":2," + base + dir + "\"}"}),
+                   "", dir, 4);
+  // The service persists to `dir`: every line naming another directory
+  // fails with the mismatch, hit or not.
+  ExpectMemoParity(Thrice({"{\"id\":1," + base + other + "\"}",
+                           "{\"id\":2," + base + other + "\"}"}),
+                   dir, dir, 4);
+}
+
+TEST(ServiceTest, SpecMemoHitStillMeetsTheInflightCap) {
+  QueryService service;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::mutex lines_mutex;
+  std::vector<std::string> lines;
+  Session::Options sopts;
+  sopts.max_inflight = 1;
+  const std::string base =
+      R"("kind":"system","class":"all","system":"reach_red"})";
+  const std::vector<std::string> sent = {
+      "{\"id\":1," + base, "{\"id\":2," + base, "{\"id\":3e0," + base};
+  {
+    Session session(service, sopts, [&](const std::string& line) {
+      bool first;
+      {
+        std::lock_guard<std::mutex> lock(lines_mutex);
+        lines.push_back(line);
+        first = lines.size() == 1;
+      }
+      if (first) gate.wait();
+    });
+    for (const std::string& line : sent) session.HandleLine(line);
+    EXPECT_EQ(session.rejected_overload(), 2u);
+    release.set_value();
+    session.Flush();
+  }
+  EXPECT_EQ(service.Stats().spec_memo_hits, 1u)
+      << "the third line is a memo hit, and still refused";
+  ASSERT_EQ(lines.size(), 3u);
+  for (std::size_t i = 1; i < 3; ++i) {
+    const std::string expected = FormatErrorResponse(
+        ParseRequestLine(sent[i]),
+        "per-connection inflight cap (1) reached; read pending responses "
+        "before sending more",
+        "overloaded");
+    EXPECT_EQ(lines[i], expected);
+  }
+}
+
+TEST(ServiceTest, SpecMemoAdmitsOnlyRepeatedLines) {
+  QueryService service;
+  std::vector<std::string> lines;
+  for (int i = 0; i < 200; ++i) {
+    lines.push_back("{\"id\":" + std::to_string(i) +
+                    R"(,"kind":"system","class":"all","system":"reach_red",)"
+                    R"("probe":)" +
+                    std::to_string(i) + "}");
+  }
+  lines.push_back(R"({"id":200,"op":"stats"})");
+  std::vector<std::string> responses = SessionResponses(service, lines);
+  EXPECT_NE(responses.back().find("\"spec_memo_entries\":0"),
+            std::string::npos)
+      << "200 one-off lines must not fill the memo: " << responses.back();
+  EXPECT_NE(responses.back().find("\"spec_memo_hits\":0"), std::string::npos);
+
+  // One line seen again: its second sighting admits it, its third hits.
+  responses = SessionResponses(service, {lines[7], R"({"op":"stats"})",
+                                         lines[7], R"({"op":"stats"})"});
+  EXPECT_NE(responses[1].find("\"spec_memo_entries\":1"), std::string::npos)
+      << responses[1];
+  EXPECT_NE(responses[1].find("\"spec_memo_hits\":0"), std::string::npos)
+      << responses[1];
+  EXPECT_NE(responses[3].find("\"spec_memo_hits\":1"), std::string::npos)
+      << responses[3];
+  service.Drain();
+  EXPECT_GT(service.Stats().spec_memo_entries, 0u);
+}
+
+TEST(ServiceTest, SpecMemoStaysWithinItsBounds) {
+  SpecMemo memo;
+  const auto query = std::make_shared<const PreparedQuery>();
+  auto admit = [&](const std::string& bytes) {
+    const SpecMemo::Key key{bytes, /*id_stripped=*/true};
+    memo.Find(key);
+    ASSERT_TRUE(memo.Find(key).admit) << "second sighting admits";
+    memo.Admit(key, query, "");
+  };
+  // Huge repeated lines: 4 MiB of key bytes hold four 1-MiB keys, and a
+  // key past the bound is never kept.
+  for (int i = 0; i < 10; ++i) {
+    admit(std::string(std::size_t{1} << 20, static_cast<char>('a' + i)));
+  }
+  EXPECT_EQ(memo.entries(), 4u);
+  admit(std::string(SpecMemo::kMaxKeyBytes + 1, 'z'));
+  EXPECT_EQ(memo.entries(), 4u);
+  // Many small lines: the entry bound holds, least recently used out.
+  for (int i = 0; i < 2000; ++i) admit("\"k\":" + std::to_string(i) + "}");
+  EXPECT_EQ(memo.entries(), SpecMemo::kMaxEntries);
+  EXPECT_EQ(memo.Find({"\"k\":0}", true}).query, nullptr);
+  EXPECT_NE(memo.Find({"\"k\":1999}", true}).query, nullptr);
+  // The same bytes keyed whole are another entry.
+  EXPECT_EQ(memo.Find({"\"k\":1999}", false}).query, nullptr);
+}
+
+TEST(ServiceTest, ConcurrentSessionsShareOneMemoEntryPerLine) {
+  // Four sessions, each on its own thread, send the same four lines (one
+  // per front door) with their own ids: every repeat after the first two
+  // sightings runs the one shared prepared query, concurrently.
+  const std::vector<std::string> bodies = {
+      R"("kind":"system","class":"all","system":"reach_red"})",
+      R"("kind":"words","nfa":"aplus_bplus","system":"zigzag"})",
+      R"("kind":"trees","automaton":"two_level","system":"descend"})",
+      R"json("kind":"branching","class":"all","system":{"registers":)json"
+      R"json(["x"],"states":[{"name":"a","initial":true},{"name":"b",)json"
+      R"json("accepting":true}],"rules":[{"from":"a","branches":[)json"
+      R"json({"guard":"E(x_old, x_new)","to":"b"},{"guard":"red(x_new)",)json"
+      R"json("to":"b"}]}]}})json",
+  };
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 5;
+  QueryService::Options options;
+  options.num_workers = 4;
+  QueryService service(options);
+  std::vector<std::vector<std::string>> responses(kSessions);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kSessions; ++c) {
+    clients.emplace_back([&, c] {
+      std::mutex mutex;
+      Session::Options sopts;
+      sopts.id = static_cast<std::uint64_t>(c);
+      Session session(service, sopts, [&](const std::string& line) {
+        std::lock_guard<std::mutex> lock(mutex);
+        responses[c].push_back(line);
+      });
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t b = 0; b < bodies.size(); ++b) {
+          const int id = (c * kRounds + round) * 10 + static_cast<int>(b);
+          session.HandleLine("{\"id\":" + std::to_string(id) + "," +
+                             bodies[b]);
+        }
+      }
+      session.Flush();
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  service.Drain();
+
+  for (int c = 0; c < kSessions; ++c) {
+    ASSERT_EQ(responses[c].size(), bodies.size() * kRounds);
+    for (std::size_t i = 0; i < responses[c].size(); ++i) {
+      const int id = (c * kRounds + static_cast<int>(i / bodies.size())) * 10 +
+                     static_cast<int>(i % bodies.size());
+      EXPECT_EQ(responses[c][i].rfind("{\"id\":" + std::to_string(id) +
+                                          ",\"ok\":true,\"nonempty\":true",
+                                      0),
+                0u)
+          << responses[c][i];
+    }
+  }
+  // How many sightings miss before a key's entry is published depends on
+  // the interleaving; that the rest ran on one shared entry does not.
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.spec_memo_entries, bodies.size());
+  EXPECT_GT(stats.spec_memo_hits, 0u);
 }
 
 }  // namespace
