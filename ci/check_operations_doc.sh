@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Doc-drift guard for docs/OPERATIONS.md and docs/OBSERVABILITY.md.
+# Doc-drift guard for docs/OPERATIONS.md, docs/OBSERVABILITY.md and the
+# directory layout in docs/STORE_FORMAT.md.
 #
-# Three checks, all against the *built* amalgamd so the docs can never
+# Four checks, all against the *built* amalgamd so the docs can never
 # drift from the binary unnoticed:
 #
 #   1. Flags, both directions: every `--flag` named in either doc must
@@ -15,6 +16,10 @@
 #      and every metric the scrape exports must be documented.
 #      (`_bucket`/`_sum`/`_count` suffixes fold onto their histogram's
 #      base name before comparing.)
+#   4. Store layout: after the replays, every file in each example's
+#      store directory must match a name in STORE_FORMAT.md's
+#      directory-layout block, so a daemon that starts leaving an
+#      undocumented file (a stray temp, a pack) fails the guard.
 #
 # Usage: ci/check_operations_doc.sh [path/to/amalgamd] [path/to/docs]
 set -u
@@ -23,12 +28,13 @@ AMALGAMD=${1:-build/amalgamd}
 DOCDIR=${2:-docs}
 OPS_DOC="$DOCDIR/OPERATIONS.md"
 OBS_DOC="$DOCDIR/OBSERVABILITY.md"
+FORMAT_DOC="$DOCDIR/STORE_FORMAT.md"
 
 if [ ! -x "$AMALGAMD" ]; then
   echo "error: amalgamd not executable at $AMALGAMD" >&2
   exit 1
 fi
-for doc in "$OPS_DOC" "$OBS_DOC"; do
+for doc in "$OPS_DOC" "$OBS_DOC" "$FORMAT_DOC"; do
   if [ ! -f "$doc" ]; then
     echo "error: doc not found at $doc" >&2
     exit 1
@@ -122,9 +128,38 @@ for m in $live_metrics; do
   fi
 done
 
+# --- 4. Store layout -------------------------------------------------
+# The layout block is the first fenced block under "## Directory layout":
+# a "<store-dir>/" line, then one "<name>  <meaning>" line per file, where
+# "<hash>" in a name stands for 16 lowercase hex digits.
+layout_regexes=$(awk '
+  /^## Directory layout/ { in_section = 1; next }
+  in_section && /^## / { exit }
+  in_section && /^```/ { if (in_block) exit; in_block = 1; next }
+  in_block && NF > 0 && $1 != "<store-dir>/" { print $1 }
+' "$FORMAT_DOC" | sed 's/\./\\./g; s/<hash>/[0-9a-f]{16}/g')
+
+if [ -z "$layout_regexes" ]; then
+  echo "drift: no directory-layout block found in $FORMAT_DOC"
+  fail=1
+fi
+n_files=0
+for store in "$tmp_root"/store* "$tmp_root/metrics_store"; do
+  [ -d "$store" ] || continue
+  for name in $(ls -A "$store"); do
+    n_files=$((n_files + 1))
+    if ! printf '%s\n' "$name" | grep -qxE -f <(printf '%s\n' "$layout_regexes"); then
+      echo "drift: example store ${store#"$tmp_root"/} holds '$name'," \
+           "which $FORMAT_DOC's directory layout does not name"
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -eq 0 ]; then
   n_metrics=$(printf '%s\n' "$live_metrics" | wc -l)
   echo "ok: $block jsonl blocks replayed, flags in sync with --help," \
-       "$n_metrics metrics in sync with the doc"
+       "$n_metrics metrics in sync with the doc," \
+       "$n_files store files match the documented layout"
 fi
 exit $fail

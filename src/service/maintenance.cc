@@ -135,15 +135,6 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
     }
   }
 
-  // Repack when enough loose files accumulated — or whenever the pack's
-  // index is stale/missing (a crash between the two publication renames):
-  // republishing a fresh generation is exactly the repair.
-  if (store && options_.repack_min_loose > 0 &&
-      (store->LooseFileCount() >= options_.repack_min_loose ||
-       store->PackNeedsRepair())) {
-    if (store->Repack().performed) ++result.repacks;
-  }
-
   if (options_.store_max_bytes > 0 || options_.store_max_files > 0) {
     result.sweep_files_removed =
         service_
@@ -155,7 +146,6 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.passes;
     stats_.partials_completed += result.partials_completed;
-    stats_.repacks += result.repacks;
   }
   return result;
 }
@@ -206,22 +196,21 @@ void MaintenanceLoop::RecordAccess(const std::string& line) {
 
 void MaintenanceLoop::FlushAccessLog() {
   if (options_.store_dir.empty()) return;
-  std::vector<std::string> lines;
+  std::string log;
   {
     std::lock_guard<std::mutex> lock(access_mutex_);
     if (!access_dirty_) return;
-    lines.assign(access_lines_.begin(), access_lines_.end());
+    for (const std::string& line : access_lines_) {
+      log += line;
+      log += '\n';
+    }
     access_dirty_ = false;
   }
-  const std::string path = AccessLogPath();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    for (const std::string& line : lines) out << line << '\n';
-    if (!out.good()) return;  // disk trouble: keep the old log
+  if (!WriteFileAtomically(AccessLogPath(), log)) {
+    // Disk trouble: the old log stays, and the next pass retries.
+    std::lock_guard<std::mutex> lock(access_mutex_);
+    access_dirty_ = true;
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
 }
 
 MaintenanceStats MaintenanceLoop::GetStats() const {

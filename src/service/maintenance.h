@@ -1,5 +1,5 @@
 // The daemon's background self-maintenance: the store tier keeps itself
-// finished, folded and warm without waiting for queries to do it.
+// finished, bounded and warm without waiting for queries to do it.
 //
 // A MaintenanceLoop owns one background thread (optional — interval 0
 // means passes run only on demand, via the {"op":"maintain"} admin op or
@@ -16,10 +16,7 @@
 //      racing suffix sweeps. Partials are only attacked while the worker
 //      pool is idle (Pending() == 0); the first sign of live traffic ends
 //      the completion phase of the pass.
-//   2. *Repack.* When the loose tier has accumulated at least
-//      `repack_min_loose` files, GraphStore::Repack folds it into a fresh
-//      pack generation (see solver/store.h and docs/STORE_FORMAT.md).
-//   3. *Sweep.* With disk caps configured, GraphStore::Sweep enforces
+//   2. *Sweep.* With disk caps configured, GraphStore::Sweep enforces
 //      them on a schedule instead of only after writing queries.
 //
 // The loop also owns the *access log*: RecordAccess(line) buffers the
@@ -27,7 +24,8 @@
 // memory only — the transport thread never touches disk): lines that
 // differ only in a leading numeric id (IdentifyLine, service/protocol.h)
 // ask the same query and share one entry. Each pass persists them to
-// <store_dir>/access.jsonl via temp+rename. On startup, Prewarm()
+// <store_dir>/access.jsonl via WriteFileAtomically (solver/store.h); a
+// failed flush is retried by the next pass. On startup, Prewarm()
 // replays the persisted log through the protocol parser and asks the
 // service to promote each request's graph from the store into the memory
 // tier — a restarted daemon answers its first real queries from a warm
@@ -59,10 +57,6 @@ struct MaintenanceOptions {
   /// Disk caps for the scheduled sweep (0/0 = no scheduled sweep).
   std::uint64_t store_max_bytes = 0;
   std::uint64_t store_max_files = 0;
-  /// Repack when the loose tier holds at least this many files. 0
-  /// disables scheduled repack (the admin op still triggers a pass, and a
-  /// pass with 0 never repacks).
-  std::uint64_t repack_min_loose = 8;
   /// Unique request lines the access log retains (LRU by last access).
   std::size_t access_log_capacity = 1024;
 };
@@ -70,7 +64,6 @@ struct MaintenanceOptions {
 /// What one maintenance pass did.
 struct MaintenancePassResult {
   std::uint64_t partials_completed = 0;
-  std::uint64_t repacks = 0;
   std::uint64_t sweep_files_removed = 0;
 };
 
@@ -79,7 +72,6 @@ struct MaintenanceStats {
   std::uint64_t passes = 0;
   std::uint64_t partials_completed = 0;
   std::uint64_t prewarm_loads = 0;
-  std::uint64_t repacks = 0;
 };
 
 class MaintenanceLoop {
@@ -121,7 +113,8 @@ class MaintenanceLoop {
  private:
   void ThreadLoop();
   /// Persists the access buffer to <store_dir>/access.jsonl (temp+rename;
-  /// no-op when unchanged or without a store_dir).
+  /// no-op when unchanged or without a store_dir). A failed write leaves
+  /// the buffer dirty, so the next flush retries it.
   void FlushAccessLog();
   std::string AccessLogPath() const;
 

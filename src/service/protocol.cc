@@ -618,12 +618,10 @@ std::string FormatMaintainResponse(const ProtocolRequest& request,
   out += "\"op\":\"maintain\",";
   // This pass's work, then the loop's lifetime counters.
   AppendField(out, "partials_completed", pass.partials_completed);
-  AppendField(out, "repacks", pass.repacks);
   AppendField(out, "sweep_files_removed", pass.sweep_files_removed);
   AppendField(out, "total_passes", stats.passes);
   AppendField(out, "total_partials_completed", stats.partials_completed);
   AppendField(out, "total_prewarm_loads", stats.prewarm_loads);
-  AppendField(out, "total_repacks", stats.repacks);
   return CloseObject(std::move(out));
 }
 

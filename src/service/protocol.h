@@ -28,7 +28,7 @@
 //
 // *Admin* lines select an op instead: {"op":"stats"}, {"op":"sweep",
 // "max_bytes":N,"max_files":N}, {"op":"maintain"} (one synchronous
-// maintenance pass: complete partials, repack, sweep — needs a daemon
+// maintenance pass: complete partials, sweep — needs a daemon
 // with a store attached), {"op":"metrics"} (the full metrics registry in
 // Prometheus text format, JSON-escaped in the response's "body"),
 // {"op":"recent"} (the bounded ring of recent query summaries),

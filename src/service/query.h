@@ -176,14 +176,10 @@ struct RecentQuery {
   X(store_load_failures, Counter,                                              \
     "Store files present but unreadable (fell back to a fresh build)")         \
   X(store_writes, Counter, "Graphs written through to the disk tier")          \
-  X(store_loose_loads, Counter, "Disk loads served by the loose-file tier")    \
-  X(store_pack_loads, Counter, "Disk loads served by the pack")                \
   X(store_save_skips, Counter, "Store saves refused by the progress guard")    \
   X(store_sweeps, Counter, "Disk-tier sweep passes that enforced a cap")       \
   X(store_sweep_files_removed, Counter, "Files removed by disk-tier sweeps")   \
   X(store_sweep_bytes_removed, Counter, "Bytes removed by disk-tier sweeps")   \
-  X(store_repacks, Counter, "Pack generations published")                      \
-  X(store_pack_entries, Gauge, "Entries in the current pack index")            \
   X(members_enumerated, Counter,                                               \
     "Members delivered to the guard sweep, all completed queries")             \
   X(members_generated, Counter,                                                \
@@ -200,7 +196,6 @@ struct RecentQuery {
   X(partials_completed, Counter,                                               \
     "Partial store entries driven to completion by maintenance")               \
   X(prewarm_loads, Counter, "Graphs promoted into memory by startup prewarm")  \
-  X(repacks, Counter, "Pack generations published by the maintenance loop")    \
   X(spec_memo_hits, Counter,                                                   \
     "Query lines served a prepared query by the spec memo (no parse)")         \
   X(spec_memo_entries, Gauge, "Prepared query lines the spec memo holds")      \

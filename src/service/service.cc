@@ -510,14 +510,10 @@ ServiceStats QueryService::Stats() const {
   stats.store_writes = cache_.store_writes();
   if (const std::shared_ptr<const GraphStore> store = cache_.store()) {
     const StoreCounters counters = store->counters();
-    stats.store_loose_loads = counters.loose_loads;
-    stats.store_pack_loads = counters.pack_loads;
     stats.store_save_skips = counters.save_skips;
     stats.store_sweeps = counters.sweeps;
     stats.store_sweep_files_removed = counters.sweep_files_removed;
     stats.store_sweep_bytes_removed = counters.sweep_bytes_removed;
-    stats.store_repacks = counters.repacks;
-    stats.store_pack_entries = store->PackEntryCount();
   }
   stats.spec_memo_hits = spec_memo_.hits();
   stats.spec_memo_entries = spec_memo_.entries();

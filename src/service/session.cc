@@ -80,7 +80,6 @@ ServiceStats Session::SnapshotStats() const {
     stats.maintenance_passes = maintenance.passes;
     stats.partials_completed = maintenance.partials_completed;
     stats.prewarm_loads = maintenance.prewarm_loads;
-    stats.repacks = maintenance.repacks;
   }
   return stats;
 }

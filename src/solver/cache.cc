@@ -124,20 +124,8 @@ std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
     // Disk I/O outside the mutex — concurrent queries for other keys (or
     // this one) proceed instead of convoying behind the read.
     ScopedSpan load_span(trace, "store_load");
-    // Which tier served the load is only visible through the store's own
-    // counters; the delta is exact because a Load bumps exactly one of
-    // them. Only traced queries pay for the extra snapshot.
-    StoreCounters before{};
-    if (trace != nullptr) before = store->counters();
     GraphStore::LoadResult loaded = store->Load(key, schema, guards, k);
-    if (trace != nullptr) {
-      const StoreCounters after = store->counters();
-      load_span.Annotate("tier",
-                         after.loose_loads > before.loose_loads  ? "loose"
-                         : after.pack_loads > before.pack_loads  ? "pack"
-                                                                 : "miss");
-      load_span.Annotate("found", std::uint64_t{loaded.graph != nullptr});
-    }
+    load_span.Annotate("found", std::uint64_t{loaded.graph != nullptr});
     if (loaded.graph) {
       std::shared_ptr<const SubTransitionGraph> graph = std::move(loaded.graph);
       hits_.fetch_add(1, std::memory_order_relaxed);

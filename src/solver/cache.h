@@ -76,8 +76,8 @@ class GraphCache {
   bool has_store() const;
   /// The attached disk-tier handle (nullptr without one). The handle is
   /// internally synchronized; callers may run store I/O on it directly
-  /// (the maintenance loop peeks progress and repacks through it, the
-  /// stats path reads its counters).
+  /// (the maintenance loop peeks progress through it, the stats path reads
+  /// its counters).
   std::shared_ptr<const GraphStore> store() const { return StoreSnapshot(); }
 
   /// The cached graph for `key` from the memory tier only, or nullptr.
@@ -94,8 +94,8 @@ class GraphCache {
   /// (plus store_load_failures() when a file was present) and the caller
   /// builds fresh. The returned graph may be partial — check complete()
   /// and resume from cursor() on a copy. A non-null `trace` records the
-  /// disk read as a "store_load" span annotated with the serving tier
-  /// (loose/pack/miss).
+  /// disk read as a "store_load" span annotated with whether it found the
+  /// graph.
   std::shared_ptr<const SubTransitionGraph> Lookup(
       const std::string& key, const SchemaRef& schema,
       std::span<const FormulaRef> guards, int k,

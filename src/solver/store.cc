@@ -8,7 +8,6 @@
 #include <iterator>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,10 +21,6 @@ namespace amalgam {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'M', 'G', 'S'};
-constexpr char kPackMagic[4] = {'A', 'M', 'G', 'P'};
-constexpr char kIndexMagic[4] = {'A', 'M', 'G', 'I'};
-constexpr char kPackFileName[] = "pack.amgp";
-constexpr char kIndexFileName[] = "pack.idx";
 
 // 64-bit LEB128, the same encoding AppendFullWidth uses for 32-bit values
 // (the two are wire-compatible; cursor positions and counts can exceed 32
@@ -243,12 +238,20 @@ std::uint64_t ReadU64LE(std::string_view bytes) {
   return v;
 }
 
-/// Validates one serialized graph record (a loose file's bytes, or one
-/// entry sliced out of the pack) down to its progress header: checksum,
-/// magic, version. Extracts the embedded key and the (cursor, edge count)
-/// header. False on any mismatch — the record reads as absent.
-bool PeekEntryBytes(std::string_view bytes, std::string* key_out,
-                    BuildCursor* cursor, std::uint64_t* num_edges) {
+// The fields every record opens with, ahead of the schema block.
+struct RecordHeader {
+  std::uint64_t k = 0;
+  std::uint64_t num_guards = 0;
+  BuildCursor cursor;
+  std::uint64_t num_edges = 0;
+};
+
+/// Validates a record down to its header — checksum, magic, version and
+/// the embedded key, which must equal `key` (a mismatch is a file-name
+/// hash collision) — and reads the header, leaving `*r` at the schema
+/// block. False on any mismatch: the record reads as absent.
+bool ReadRecordHeader(std::string_view bytes, std::string_view key, Reader* r,
+                      RecordHeader* header) {
   if (bytes.size() < sizeof(kMagic) + 8) return false;
   const std::string_view payload = bytes.substr(0, bytes.size() - 8);
   if (Fnv1a64(payload) != ReadU64LE(bytes.substr(bytes.size() - 8))) {
@@ -258,35 +261,16 @@ bool PeekEntryBytes(std::string_view bytes, std::string* key_out,
       std::string_view(kMagic, sizeof(kMagic))) {
     return false;
   }
-  Reader r(payload.substr(sizeof(kMagic)));
-  std::uint64_t version, key_len, stored_k, stored_guards;
+  *r = Reader(payload.substr(sizeof(kMagic)));
+  std::uint64_t version, key_len;
   std::string_view stored_key;
-  if (!r.ReadVarint(&version) || version != kGraphStoreFormatVersion) {
-    return false;
-  }
-  if (!r.ReadVarint(&key_len) || !r.ReadBytes(key_len, &stored_key)) {
-    return false;
-  }
-  if (!r.ReadVarint(&stored_k) || !r.ReadVarint(&stored_guards)) return false;
-  if (!r.ReadCounted(&cursor->phase) || !r.ReadVarint(&cursor->next_member) ||
-      !r.ReadVarint(num_edges)) {
-    return false;
-  }
-  key_out->assign(stored_key);
-  return true;
-}
-
-/// The progress recorded in an existing, checksum-valid store file for
-/// `key`. False when the file is absent, torn, for a different key (hash
-/// collision) or otherwise unreadable — all cases where overwriting loses
-/// nothing.
-bool PeekProgress(const std::string& path, std::string_view key,
-                  BuildCursor* cursor, std::uint64_t* num_edges) {
-  std::string bytes;
-  std::string stored_key;
-  return ReadFileBytes(path, &bytes) &&
-         PeekEntryBytes(bytes, &stored_key, cursor, num_edges) &&
-         stored_key == key;
+  return r->ReadVarint(&version) && version == kGraphStoreFormatVersion &&
+         r->ReadVarint(&key_len) && r->ReadBytes(key_len, &stored_key) &&
+         stored_key == key && r->ReadVarint(&header->k) &&
+         r->ReadVarint(&header->num_guards) &&
+         r->ReadCounted(&header->cursor.phase) &&
+         r->ReadVarint(&header->cursor.next_member) &&
+         r->ReadVarint(&header->num_edges);
 }
 
 bool StrictlyBefore(const BuildCursor& a, std::uint64_t a_edges,
@@ -363,56 +347,21 @@ std::string SerializeGraph(const SubTransitionGraph& graph,
     }
   }
 
-  const std::uint64_t checksum = Fnv1a64(out);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((checksum >> (8 * i)) & 0xff));
-  }
+  AppendU64LE(out, Fnv1a64(out));
   return out;
 }
 
 std::shared_ptr<SubTransitionGraph> DeserializeGraph(
     std::string_view bytes, std::string_view key, const SchemaRef& schema,
     std::span<const FormulaRef> guards, int k) {
-  if (bytes.size() < sizeof(kMagic) + 8) return nullptr;
-  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
-  std::uint64_t stored_checksum = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored_checksum |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
-                           bytes[bytes.size() - 8 + i]))
-                       << (8 * i);
-  }
-  if (Fnv1a64(payload) != stored_checksum) return nullptr;
-
-  Reader r(payload.substr(sizeof(kMagic)));
-  if (payload.substr(0, sizeof(kMagic)) !=
-      std::string_view(kMagic, sizeof(kMagic))) {
+  Reader r{std::string_view()};
+  RecordHeader header;
+  if (!ReadRecordHeader(bytes, key, &r, &header) ||
+      header.k != static_cast<std::uint64_t>(k) ||
+      header.num_guards != static_cast<std::uint64_t>(guards.size()) ||
+      !ReadAndCheckSchema(r, *schema)) {
     return nullptr;
   }
-  std::uint64_t version;
-  if (!r.ReadVarint(&version) || version != kGraphStoreFormatVersion) {
-    return nullptr;
-  }
-  std::uint64_t key_len;
-  std::string_view stored_key;
-  if (!r.ReadVarint(&key_len) || !r.ReadBytes(key_len, &stored_key)) {
-    return nullptr;
-  }
-  if (stored_key != key) return nullptr;  // filename hash collision
-  std::uint64_t stored_k, stored_guards;
-  if (!r.ReadVarint(&stored_k) || stored_k != static_cast<std::uint64_t>(k)) {
-    return nullptr;
-  }
-  if (!r.ReadVarint(&stored_guards) ||
-      stored_guards != static_cast<std::uint64_t>(guards.size())) {
-    return nullptr;
-  }
-  BuildCursor cursor;
-  std::uint64_t declared_edges;
-  if (!r.ReadCounted(&cursor.phase) || !r.ReadVarint(&cursor.next_member) ||
-      !r.ReadVarint(&declared_edges)) {
-    return nullptr;
-  }
-  if (!ReadAndCheckSchema(r, *schema)) return nullptr;
 
   std::size_t num_shapes;
   if (!r.ReadCounted(&num_shapes) || num_shapes > r.remaining()) {
@@ -463,7 +412,9 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
   }
   // Each deduplicated edge records exactly one step, so the header's edge
   // count must match.
-  if (declared_edges != static_cast<std::uint64_t>(num_steps)) return nullptr;
+  if (header.num_edges != static_cast<std::uint64_t>(num_steps)) {
+    return nullptr;
+  }
   std::vector<SubTransition> steps;
   steps.reserve(num_steps);
   for (std::size_t i = 0; i < num_steps; ++i) {
@@ -496,7 +447,7 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
   return SubTransitionGraph::FromParts(
       std::vector<FormulaRef>(guards.begin(), guards.end()), k,
       std::move(shapes), std::move(initial_shapes), std::move(steps),
-      std::move(edges), cursor);
+      std::move(edges), header.cursor);
 }
 
 GraphStore::GraphStore(std::string dir) : dir_(std::move(dir)) {
@@ -517,72 +468,67 @@ std::string GraphStore::PathFor(const std::string& key) const {
   return (std::filesystem::path(dir_) / name).string();
 }
 
+bool WriteFileAtomically(const std::string& path, std::string_view bytes) {
+  static std::atomic<std::uint64_t> temp_counter{0};
+  const std::string tmp = path + ".tmp." +
+                          std::to_string(static_cast<long>(::getpid())) + "." +
+                          std::to_string(temp_counter.fetch_add(1));
+  std::error_code ec;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!out.good()) {
+      out.close();
+      std::filesystem::remove(tmp, ec);
+      return false;
+    }
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  return true;
+}
+
 GraphStore::LoadResult GraphStore::Load(const std::string& key,
                                         const SchemaRef& schema,
                                         std::span<const FormulaRef> guards,
                                         int k) const {
   LoadResult result;
-  // Loose tier first: Save only writes loose files, so whenever both
-  // tiers hold the key the loose copy is at least as far along.
   std::string bytes;
   if (ReadFileBytes(PathFor(key), &bytes)) {
     // An existing file counts as found even when empty (a crashed writer's
     // leavings): the caller surfaces it as a load failure, not a miss.
     result.file_found = true;
     result.graph = DeserializeGraph(bytes, key, schema, guards, k);
-    if (result.graph) {
-      loose_loads_.fetch_add(1, std::memory_order_relaxed);
-      return result;
-    }
-    // Corrupt loose file: fall through — the pack may still hold a good
-    // (older) copy, which beats rebuilding from nothing.
-    load_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::string entry = ReadPackEntry(key);
-  if (!entry.empty()) {
-    result.file_found = true;
-    result.graph = DeserializeGraph(entry, key, schema, guards, k);
-    if (result.graph) {
-      pack_loads_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      load_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
   }
   return result;
 }
 
 GraphStore::KeyProgress GraphStore::PeekKey(const std::string& key) const {
+  // Only the header is parsed: an absent, torn or colliding file reads as
+  // not found, and overwriting it loses nothing.
   KeyProgress progress;
-  BuildCursor cursor;
-  std::uint64_t edges = 0;
-  if (PeekProgress(PathFor(key), key, &cursor, &edges)) {
-    progress = KeyProgress{true, cursor, edges};
-  }
-  const std::string entry = ReadPackEntry(key);
-  if (!entry.empty()) {
-    std::string stored_key;
-    if (PeekEntryBytes(entry, &stored_key, &cursor, &edges) &&
-        stored_key == key &&
-        (!progress.found || StrictlyBefore(progress.cursor, progress.num_edges,
-                                           cursor, edges))) {
-      progress = KeyProgress{true, cursor, edges};
-    }
+  std::string bytes;
+  Reader r{std::string_view()};
+  RecordHeader header;
+  if (ReadFileBytes(PathFor(key), &bytes) &&
+      ReadRecordHeader(bytes, key, &r, &header)) {
+    progress = KeyProgress{true, header.cursor, header.num_edges};
   }
   return progress;
 }
 
 bool GraphStore::Save(const std::string& key,
                       const SubTransitionGraph& graph) const {
-  const std::string path = PathFor(key);
   // Never clobber further-along progress persisted by someone we have not
   // seen — another process, or another cache in this one — with a
-  // less-explored graph: write-through only when this graph is strictly
-  // ahead of the furthest copy either tier already holds, mirroring
-  // GraphCache::Insert's replacement order. (Against the pack the check
-  // also prevents a *shadow* downgrade: a partial loose file would eclipse
-  // the packed entry on the read path.) Last-writer-wins remains possible
-  // between racing saves of incomparable snapshots, but both snapshots are
-  // then correct graphs and the trajectory merely pauses, never corrupts.
+  // less-explored graph: write only when this graph is strictly ahead of
+  // the file already there, mirroring GraphCache::Insert's replacement
+  // order. Last-writer-wins remains possible between racing saves of
+  // incomparable snapshots, but both snapshots are then correct graphs and
+  // the trajectory merely pauses, never corrupts.
   const KeyProgress incumbent = PeekKey(key);
   if (incumbent.found &&
       !StrictlyBefore(incumbent.cursor, incumbent.num_edges, graph.cursor(),
@@ -590,34 +536,7 @@ bool GraphStore::Save(const std::string& key,
     save_skips_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  // Unique temp name per process *and* per call — concurrent saves of the
-  // same key from two private caches in one process must not interleave
-  // into one temp file. The final rename is atomic, so a concurrent
-  // reader sees either the old file or the new one, never a torn write.
-  static std::atomic<std::uint64_t> save_counter{0};
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) + "." +
-                          std::to_string(save_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    const std::string bytes = SerializeGraph(graph, key);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  saves_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return WriteFileAtomically(PathFor(key), SerializeGraph(graph, key));
 }
 
 StoreSweepResult GraphStore::Sweep(std::uint64_t max_bytes,
@@ -679,357 +598,13 @@ StoreSweepResult GraphStore::Sweep(std::uint64_t max_bytes,
   return result;
 }
 
-std::string GraphStore::PackPath() const {
-  return (std::filesystem::path(dir_) / kPackFileName).string();
-}
-
-std::string GraphStore::IndexPath() const {
-  return (std::filesystem::path(dir_) / kIndexFileName).string();
-}
-
-std::shared_ptr<const GraphStore::PackIndex> GraphStore::LoadPackIndex()
-    const {
-  const std::string idx_path = IndexPath();
-  struct stat st;
-  if (::stat(idx_path.c_str(), &st) != 0) {
-    std::lock_guard<std::mutex> lock(pack_mutex_);
-    pack_index_ = nullptr;
-    pack_index_mtime_ns_ = -1;
-    return nullptr;
-  }
-  const std::int64_t mtime_ns =
-      st.st_mtim.tv_sec * 1'000'000'000LL + st.st_mtim.tv_nsec;
-  const std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
-  {
-    std::lock_guard<std::mutex> lock(pack_mutex_);
-    if (pack_index_mtime_ns_ == mtime_ns && pack_index_size_ == size) {
-      return pack_index_;  // may be null: a cached failed parse
-    }
-  }
-
-  // Parse outside the lock; publish whatever the parse decided (including
-  // "invalid") so the stat fast path answers until the file changes again.
-  std::shared_ptr<const PackIndex> parsed;
-  std::string bytes;
-  do {
-    if (!ReadFileBytes(idx_path, &bytes)) break;
-    if (bytes.size() < sizeof(kIndexMagic) + 8) break;
-    const std::string_view payload(bytes.data(), bytes.size() - 8);
-    if (Fnv1a64(payload) != ReadU64LE(std::string_view(bytes).substr(
-                                bytes.size() - 8))) {
-      break;
-    }
-    if (payload.substr(0, sizeof(kIndexMagic)) !=
-        std::string_view(kIndexMagic, sizeof(kIndexMagic))) {
-      break;
-    }
-    Reader r(payload.substr(sizeof(kIndexMagic)));
-    std::uint64_t version, pack_size, count;
-    if (!r.ReadVarint(&version) || version != kPackFormatVersion) break;
-    if (!r.ReadVarint(&pack_size) || !r.ReadVarint(&count)) break;
-    if (count > r.remaining() / 24) break;  // 3 × 8 bytes per entry
-    auto index = std::make_shared<PackIndex>();
-    index->pack_size = pack_size;
-    index->entries.reserve(count);
-    bool ok = true;
-    for (std::uint64_t i = 0; i < count && ok; ++i) {
-      std::string_view raw;
-      if (!r.ReadBytes(24, &raw)) {
-        ok = false;
-        break;
-      }
-      PackIndexEntry entry{ReadU64LE(raw), ReadU64LE(raw.substr(8)),
-                           ReadU64LE(raw.substr(16))};
-      // Entries must be sorted (the binary-search contract) and lie
-      // inside the pack the index claims to describe.
-      if (i > 0 && entry.key_hash < index->entries.back().key_hash) {
-        ok = false;
-        break;
-      }
-      if (entry.length > pack_size || entry.offset > pack_size - entry.length) {
-        ok = false;
-        break;
-      }
-      index->entries.push_back(entry);
-    }
-    if (!ok || !r.done()) break;
-    // Bind the index to its pack: a crash between the two publication
-    // renames leaves a new pack under an old index (or vice versa), which
-    // this size check turns into "no pack" — the loose tier, still
-    // undeleted in that state, remains authoritative.
-    struct stat pack_st;
-    if (::stat(PackPath().c_str(), &pack_st) != 0 ||
-        static_cast<std::uint64_t>(pack_st.st_size) != pack_size) {
-      break;
-    }
-    parsed = std::move(index);
-  } while (false);
-
-  std::lock_guard<std::mutex> lock(pack_mutex_);
-  pack_index_ = parsed;
-  pack_index_mtime_ns_ = mtime_ns;
-  pack_index_size_ = size;
-  return parsed;
-}
-
-std::string GraphStore::ReadPackEntry(const std::string& key) const {
-  std::shared_ptr<const PackIndex> index = LoadPackIndex();
-  if (!index) return "";
-  const std::uint64_t hash = Fnv1a64(key);
-  auto lo = std::lower_bound(index->entries.begin(), index->entries.end(),
-                             hash, [](const PackIndexEntry& e, std::uint64_t h) {
-                               return e.key_hash < h;
-                             });
-  for (; lo != index->entries.end() && lo->key_hash == hash; ++lo) {
-    std::ifstream in(PackPath(), std::ios::binary);
-    if (!in) return "";
-    in.seekg(static_cast<std::streamoff>(lo->offset));
-    std::string entry(lo->length, '\0');
-    in.read(entry.data(), static_cast<std::streamsize>(lo->length));
-    if (!in.good() && !in.eof()) continue;
-    if (static_cast<std::uint64_t>(in.gcount()) != lo->length) continue;
-    // Colliding hashes share an index slot; the embedded key decides.
-    std::string stored_key;
-    BuildCursor cursor;
-    std::uint64_t edges;
-    if (PeekEntryBytes(entry, &stored_key, &cursor, &edges) &&
-        stored_key == key) {
-      return entry;
-    }
-  }
-  return "";
-}
-
-std::uint64_t GraphStore::LooseFileCount() const {
-  std::uint64_t count = 0;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (entry.is_regular_file(ec) && entry.path().extension() == ".amg") {
-      ++count;
-    }
-  }
-  return count;
-}
-
-std::uint64_t GraphStore::PackEntryCount() const {
-  std::shared_ptr<const PackIndex> index = LoadPackIndex();
-  return index ? index->entries.size() : 0;
-}
-
-bool GraphStore::PackNeedsRepair() const {
-  std::error_code ec;
-  if (!std::filesystem::exists(PackPath(), ec)) return false;
-  return LoadPackIndex() == nullptr;
-}
-
 StoreCounters GraphStore::counters() const {
   StoreCounters c;
-  c.loose_loads = loose_loads_.load(std::memory_order_relaxed);
-  c.pack_loads = pack_loads_.load(std::memory_order_relaxed);
-  c.load_failures = load_failures_.load(std::memory_order_relaxed);
-  c.saves = saves_.load(std::memory_order_relaxed);
   c.save_skips = save_skips_.load(std::memory_order_relaxed);
   c.sweeps = sweeps_.load(std::memory_order_relaxed);
   c.sweep_files_removed = sweep_files_removed_.load(std::memory_order_relaxed);
   c.sweep_bytes_removed = sweep_bytes_removed_.load(std::memory_order_relaxed);
-  c.repacks = repacks_.load(std::memory_order_relaxed);
   return c;
-}
-
-StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
-  StoreRepackResult result;
-
-  // Stale temp files are leftovers of crashed repacks (a *live* concurrent
-  // repack may also lose its temp here; it then fails soft and retries —
-  // repack is single-writer by convention: the maintenance loop).
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(std::string(kPackFileName) + ".tmp.", 0) == 0 ||
-        name.rfind(std::string(kIndexFileName) + ".tmp.", 0) == 0) {
-      std::error_code remove_ec;
-      std::filesystem::remove(entry.path(), remove_ec);
-    }
-  }
-
-  // Collect the best copy per key: every valid packed entry, overridden by
-  // a valid loose file whenever the loose copy is at least as far along
-  // (ties go to the loose file so it can be folded away).
-  struct Candidate {
-    std::string bytes;
-    BuildCursor cursor;
-    std::uint64_t edges = 0;
-    std::string loose_path;  // empty: came from the current pack
-  };
-  std::unordered_map<std::string, Candidate> best;
-
-  // Scan the pack *sequentially* instead of through its index: entries are
-  // length-prefixed and self-validating, so this recovers a pack whose
-  // index is missing or stale — the state a crash between the two
-  // publication renames leaves behind. A torn tail (or any invalid entry)
-  // ends the scan; everything before it is kept.
-  std::shared_ptr<const PackIndex> index = LoadPackIndex();
-  std::string pack_bytes;
-  if (ReadFileBytes(PackPath(), &pack_bytes) &&
-      pack_bytes.size() > sizeof(kPackMagic) &&
-      std::string_view(pack_bytes).substr(0, sizeof(kPackMagic)) ==
-          std::string_view(kPackMagic, sizeof(kPackMagic))) {
-    Reader r(std::string_view(pack_bytes).substr(sizeof(kPackMagic)));
-    std::uint64_t version = 0;
-    if (r.ReadVarint(&version) && version == kPackFormatVersion) {
-      for (;;) {
-        std::uint64_t len = 0;
-        std::string_view entry;
-        if (!r.ReadVarint(&len) || !r.ReadBytes(len, &entry)) break;
-        std::string key;
-        BuildCursor cursor;
-        std::uint64_t edges;
-        if (!PeekEntryBytes(entry, &key, &cursor, &edges)) break;
-        auto it = best.find(key);
-        if (it == best.end() ||
-            StrictlyBefore(it->second.cursor, it->second.edges, cursor,
-                           edges)) {
-          best[key] = Candidate{std::string(entry), cursor, edges, ""};
-        }
-      }
-    }
-  }
-
-  std::uint64_t loose_seen = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    if (entry.path().extension() != ".amg") continue;
-    std::string bytes;
-    if (!ReadFileBytes(entry.path().string(), &bytes)) continue;
-    std::string key;
-    BuildCursor cursor;
-    std::uint64_t edges;
-    if (!PeekEntryBytes(bytes, &key, &cursor, &edges)) continue;  // corrupt
-    ++loose_seen;
-    auto it = best.find(key);
-    if (it == best.end() ||
-        !StrictlyBefore(cursor, edges, it->second.cursor, it->second.edges)) {
-      best[key] = Candidate{std::move(bytes), cursor, edges,
-                            entry.path().string()};
-    }
-  }
-
-  // Nothing loose to fold and the pack's index is live: no-op. (A stale
-  // or missing index with a readable pack falls through — publishing a
-  // fresh generation is exactly the repair.)
-  if (loose_seen == 0 && index != nullptr) return result;
-  if (best.empty()) return result;
-
-  // New pack, entries in index (key-hash) order so the sorted index walks
-  // the file sequentially. Each entry is length-prefixed: the pack alone
-  // reconstructs its content (the recovery scan above).
-  std::vector<std::pair<std::uint64_t, const Candidate*>> ordered;
-  ordered.reserve(best.size());
-  for (const auto& [key, candidate] : best) {
-    ordered.emplace_back(Fnv1a64(key), &candidate);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first
-                                        : a.second->bytes < b.second->bytes;
-            });
-
-  std::string pack(kPackMagic, sizeof(kPackMagic));
-  AppendVarint(pack, kPackFormatVersion);
-  std::vector<PackIndexEntry> entries;
-  entries.reserve(ordered.size());
-  for (const auto& [hash, candidate] : ordered) {
-    AppendVarint(pack, candidate->bytes.size());
-    entries.push_back(PackIndexEntry{hash, pack.size(),
-                                     candidate->bytes.size()});
-    pack += candidate->bytes;
-  }
-
-  static std::atomic<std::uint64_t> repack_counter{0};
-  const std::string suffix = ".tmp." +
-                             std::to_string(static_cast<long>(::getpid())) +
-                             "." +
-                             std::to_string(repack_counter.fetch_add(1));
-  const std::string pack_tmp = PackPath() + suffix;
-  {
-    std::ofstream out(pack_tmp, std::ios::binary | std::ios::trunc);
-    out.write(pack.data(), static_cast<std::streamsize>(pack.size()));
-    if (!out.good()) {
-      result.error = "repack: cannot write " + pack_tmp;
-      out.close();
-      std::filesystem::remove(pack_tmp, ec);
-      return result;
-    }
-  }
-  if (kill_point == RepackKillPoint::kBeforePackRename) return result;
-
-  std::filesystem::rename(pack_tmp, PackPath(), ec);
-  if (ec) {
-    result.error = "repack: cannot publish " + PackPath();
-    std::filesystem::remove(pack_tmp, ec);
-    return result;
-  }
-  if (kill_point == RepackKillPoint::kBeforeIndexRename) return result;
-
-  std::string idx(kIndexMagic, sizeof(kIndexMagic));
-  AppendVarint(idx, kPackFormatVersion);
-  AppendVarint(idx, pack.size());
-  AppendVarint(idx, entries.size());
-  for (const PackIndexEntry& e : entries) {
-    AppendU64LE(idx, e.key_hash);
-    AppendU64LE(idx, e.offset);
-    AppendU64LE(idx, e.length);
-  }
-  AppendU64LE(idx, Fnv1a64(idx));
-  const std::string idx_tmp = IndexPath() + suffix;
-  {
-    std::ofstream out(idx_tmp, std::ios::binary | std::ios::trunc);
-    out.write(idx.data(), static_cast<std::streamsize>(idx.size()));
-    if (!out.good()) {
-      result.error = "repack: cannot write " + idx_tmp;
-      out.close();
-      std::filesystem::remove(idx_tmp, ec);
-      return result;
-    }
-  }
-  std::filesystem::rename(idx_tmp, IndexPath(), ec);
-  if (ec) {
-    result.error = "repack: cannot publish " + IndexPath();
-    std::filesystem::remove(idx_tmp, ec);
-    return result;
-  }
-
-  // The new generation is live; drop the stale cached parse.
-  {
-    std::lock_guard<std::mutex> lock(pack_mutex_);
-    pack_index_ = nullptr;
-    pack_index_mtime_ns_ = -1;
-  }
-  repacks_.fetch_add(1, std::memory_order_relaxed);
-  result.performed = true;
-  result.entries = entries.size();
-  result.pack_bytes = pack.size();
-  if (kill_point == RepackKillPoint::kBeforeLooseDelete) return result;
-
-  // Fold the absorbed loose files away — unless one advanced while this
-  // pass ran, in which case it stays authoritative until the next repack.
-  for (const auto& [key, candidate] : best) {
-    if (candidate.loose_path.empty()) continue;
-    BuildCursor cursor;
-    std::uint64_t edges = 0;
-    if (PeekProgress(candidate.loose_path, key, &cursor, &edges) &&
-        StrictlyBefore(candidate.cursor, candidate.edges, cursor, edges)) {
-      ++result.loose_kept;
-      continue;
-    }
-    std::error_code remove_ec;
-    if (std::filesystem::remove(candidate.loose_path, remove_ec) &&
-        !remove_ec) {
-      ++result.loose_folded;
-    }
-  }
-  return result;
 }
 
 }  // namespace amalgam

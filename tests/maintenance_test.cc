@@ -1,8 +1,7 @@
 // Tests for the self-maintaining store tier: an idle maintenance pass —
 // with NO queries submitted to the daemon — must drive a partial
 // persisted entry to completion using recipes derived from the persisted
-// access log, fold the loose tier into the pack, and leave the entry
-// servable with zero enumeration; prewarm must promote persisted graphs
+// access log, and leave the entry servable with zero enumeration; prewarm must promote persisted graphs
 // into the memory tier across a restart; the access log must stay
 // bounded, LRU-ordered and id-less, and survive flush/reload; and the
 // {"op":"maintain"}
@@ -80,19 +79,16 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
 
   // Daemon 2: NO queries. One maintenance pass — its recipes derived
   // entirely from the persisted access log, since the in-memory recipe
-  // registry of a fresh daemon is empty — must complete the entry and
-  // fold it into the pack.
+  // registry of a fresh daemon is empty — must complete the entry.
   {
     QueryService::Options options;
     options.store_dir = dir;
     QueryService service(options);
     MaintenanceOptions mopts;
     mopts.store_dir = dir;
-    mopts.repack_min_loose = 1;
     MaintenanceLoop loop(service, mopts);
     const MaintenancePassResult pass = loop.RunOnce();
     EXPECT_EQ(pass.partials_completed, 1u);
-    EXPECT_EQ(pass.repacks, 1u);
     const MaintenanceStats stats = loop.GetStats();
     EXPECT_EQ(stats.passes, 1u);
     EXPECT_EQ(stats.partials_completed, 1u);
@@ -103,8 +99,6 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
     const GraphStore::KeyProgress after = store.PeekKey(key);
     ASSERT_TRUE(after.found);
     EXPECT_EQ(after.cursor.phase, kCursorPhaseComplete);
-    EXPECT_EQ(store.PackEntryCount(), 1u);
-    EXPECT_EQ(store.LooseFileCount(), 0u);
   }
 
   // Daemon 3: prewarm promotes the completed graph into memory, so the
@@ -124,41 +118,6 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
     EXPECT_EQ(served.stats.members_enumerated, 0u);
     service.Shutdown();
   }
-}
-
-TEST(MaintenanceTest, PassRepairsAStaleIndexEvenWithNoLooseFiles) {
-  // A crash between the two publication renames leaves a pack bound to a
-  // stale index and possibly zero loose files — below any loose-count
-  // repack threshold. The pass must still notice and repair it.
-  const std::string dir = MaintStoreDir("stale_index_repair");
-  const ProtocolRequest parsed = ParseRequestLine(kReachRedLine);
-  ASSERT_TRUE(parsed.error.empty()) << parsed.error;
-
-  QueryService::Options options;
-  options.store_dir = dir;
-  QueryService service(options);
-  QueryResult r = service.Submit(parsed.query).get();
-  ASSERT_TRUE(r.ok) << r.error;
-
-  const std::shared_ptr<const GraphStore> store = service.cache().store();
-  ASSERT_NE(store, nullptr);
-  store->Repack(RepackKillPoint::kBeforeIndexRename);  // the "crash"
-  // Fold away the loose file so only the unindexed pack remains.
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".amg") fs::remove(entry.path());
-  }
-  ASSERT_TRUE(store->PackNeedsRepair());
-  ASSERT_EQ(store->LooseFileCount(), 0u);
-
-  MaintenanceOptions mopts;
-  mopts.store_dir = dir;
-  mopts.repack_min_loose = 8;  // loose count alone would never trigger
-  MaintenanceLoop loop(service, mopts);
-  const MaintenancePassResult pass = loop.RunOnce();
-  EXPECT_EQ(pass.repacks, 1u);
-  EXPECT_FALSE(store->PackNeedsRepair());
-  EXPECT_EQ(store->PackEntryCount(), 1u);
-  service.Shutdown();
 }
 
 TEST(MaintenanceTest, AccessLogIsBoundedPersistedAndLruOrdered) {
@@ -268,6 +227,42 @@ TEST(MaintenanceTest, AccessLogKeepsOneIdLessLinePerQuery) {
   }
   EXPECT_EQ(ReadLines(dir + "/access.jsonl"),
             std::vector<std::string>{kReachRedLine});
+}
+
+std::vector<std::string> TempFilesIn(const std::string& dir) {
+  std::vector<std::string> temps;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp") != std::string::npos) temps.push_back(name);
+  }
+  return temps;
+}
+
+TEST(MaintenanceTest, AFailedAccessLogFlushIsRetriedAndLeavesNoTemp) {
+  // A directory squatting on access.jsonl makes the flush's rename fail.
+  // The pass must clean up its temp file and keep the buffer dirty, so the
+  // next pass writes the log once the path is free — with no new access
+  // recorded in between.
+  const std::string dir = MaintStoreDir("flush_retry");
+  QueryService::Options options;
+  options.store_dir = dir;
+  QueryService service(options);
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  MaintenanceLoop loop(service, mopts);
+
+  loop.RecordAccess("{\"probe\":1}");
+  fs::create_directory(dir + "/access.jsonl");
+  loop.RunOnce();
+  EXPECT_TRUE(fs::is_directory(dir + "/access.jsonl"));
+  EXPECT_EQ(TempFilesIn(dir), std::vector<std::string>{});
+
+  fs::remove(dir + "/access.jsonl");
+  loop.RunOnce();
+  EXPECT_EQ(ReadLines(dir + "/access.jsonl"),
+            std::vector<std::string>{"{\"probe\":1}"});
+  EXPECT_EQ(TempFilesIn(dir), std::vector<std::string>{});
+  service.Shutdown();
 }
 
 TEST(MaintenanceTest, ReplayedRecipeNeverRecordsIntoTheClientTrace) {

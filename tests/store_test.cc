@@ -11,16 +11,21 @@
 // result as an artifact).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <sys/time.h>
 
 #include "fraisse/relational.h"
+#include "service/maintenance.h"
+#include "service/service.h"
 #include "solver/branching.h"
 #include "solver/cache.h"
 #include "solver/emptiness.h"
@@ -565,9 +570,167 @@ TEST(StoreTest, SolveOptionsSweepKnobCapsTheStore) {
   EXPECT_EQ(amg_files, 1u);
 }
 
-// One small complete graph the pack tests save under many synthetic keys:
-// repack needs volume, not variety, and the store validates entries by the
-// key they were saved under, not by what the graph "means".
+// A system over the graph zoo's schema whose single rule carries the
+// `i`-th of 32 distinct guards (a sign pattern over five literals), so
+// each `i` asks for its own graph key. One register keeps every build
+// cheap.
+std::shared_ptr<DdsSystem> DistinctGuardSystem(int i) {
+  const char* literals[] = {"red(x_old)", "red(x_new)", "E(x_old, x_new)",
+                            "E(x_new, x_old)", "x_old = x_new"};
+  std::string guard;
+  for (int bit = 0; bit < 5; ++bit) {
+    if (bit > 0) guard += " & ";
+    if (!((i >> bit) & 1)) guard += "!";
+    guard += literals[bit];
+  }
+  auto system = std::make_shared<DdsSystem>(GraphZooSchema());
+  system->AddRegister("x");
+  const int from = system->AddState("a", /*initial=*/true);
+  const int to = system->AddState("b", /*initial=*/false, /*accepting=*/true);
+  system->AddRule(from, to, guard);
+  return system;
+}
+
+TEST(StoreTest, DiskCapsBoundEveryGraphFileAcrossMaintenancePasses) {
+  // Thirty keys through a service capped at ten files, with a maintenance
+  // pass (default options) after every ten: the cap must bound the whole
+  // store, so no pass may move graphs anywhere the sweep does not look.
+  const std::string dir = StoreDir("caps_bound_store");
+  AllStructuresClass all(GraphZooSchema());
+  QueryService::Options options;
+  options.store_dir = dir;
+  options.store_max_files = 10;
+  QueryService service(options);
+  MaintenanceLoop loop(service, MaintenanceOptions{});
+
+  constexpr int kKeys = 30;
+  std::vector<std::shared_ptr<DdsSystem>> systems;
+  for (int i = 0; i < kKeys; ++i) {
+    QueryRequest request;
+    request.kind = QueryKind::kSystem;
+    request.system = systems.emplace_back(DistinctGuardSystem(i));
+    request.cls = std::make_shared<AllStructuresClass>(GraphZooSchema());
+    request.strategy = SolveStrategy::kEager;
+    const QueryResult r = service.Submit(std::move(request)).get();
+    ASSERT_TRUE(r.ok) << r.error;
+    if ((i + 1) % 10 == 0) loop.RunOnce();
+  }
+  loop.Stop();
+  service.Shutdown();
+
+  std::size_t graph_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    graph_files += entry.path().extension() == ".amg";
+  }
+  EXPECT_LE(graph_files, 10u);
+  GraphStore store(dir);
+  std::set<std::string> keys;
+  int loadable = 0;
+  for (const std::shared_ptr<DdsSystem>& system : systems) {
+    const std::vector<FormulaRef> guards = GuardsOf(*system);
+    const std::string key = GraphCache::Key(all, 1, guards);
+    keys.insert(key);
+    loadable += store.Load(key, all.schema(), guards, 1).graph != nullptr;
+  }
+  EXPECT_EQ(keys.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_LE(loadable, 10);
+  EXPECT_GT(loadable, 0);
+}
+
+TEST(StoreTest, PackFilesFromOlderDaemonsAreIgnored) {
+  // Older daemons could fold loose files into pack.amgp + pack.idx. The
+  // store no longer reads them: a key with a loose file is served from
+  // it, any other key rebuilds, and neither Save nor Sweep touches the two
+  // files, whatever bytes they hold.
+  AllStructuresClass all(GraphZooSchema());
+  const DdsSystem loose_system = ContradictionSystem();
+  const DdsSystem packed_system = ReachRedSystem();
+  SolveOptions plain;
+  plain.build_witness = false;
+  plain.strategy = SolveStrategy::kEager;
+  const SolveResult loose_reference = SolveEmptiness(loose_system, all, plain);
+  const SolveResult packed_reference =
+      SolveEmptiness(packed_system, all, plain);
+  ASSERT_NE(loose_reference.nonempty, packed_reference.nonempty);
+
+  // A well-framed pack in the old layout ("AMGP", version, then
+  // length-prefixed records) holding the packed system's graph, and an
+  // index header, both cut short.
+  const std::vector<FormulaRef> packed_guards = GuardsOf(packed_system);
+  const std::string packed_key = GraphCache::Key(
+      all, packed_system.num_registers(), packed_guards);
+  SubTransitionGraph packed_graph(packed_guards,
+                                  packed_system.num_registers());
+  SolveStats build_stats;
+  packed_graph.BuildFull(all, build_stats);
+  const std::string record = SerializeGraph(packed_graph, packed_key);
+  std::string old_pack = "AMGP";
+  old_pack += '\x01';
+  std::size_t length = record.size();
+  for (; length >= 0x80; length >>= 7) {
+    old_pack += static_cast<char>((length & 0x7f) | 0x80);
+  }
+  old_pack += static_cast<char>(length);
+  old_pack += record;
+  const std::string old_index = std::string("AMGI\x01") + "\x05\x01";
+
+  struct Case {
+    const char* name;
+    std::string pack;
+    std::string index;
+  };
+  for (const Case& c :
+       {Case{"arbitrary_bytes", "not a pack at all", "nor an index"},
+        Case{"truncated_copy", old_pack.substr(0, old_pack.size() / 2),
+             old_index}}) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = StoreDir(std::string("old_pack_") + c.name);
+    {
+      SolveOptions seed = plain;
+      seed.store_dir = dir;
+      SolveEmptiness(loose_system, all, seed);
+    }
+    std::ofstream(dir + "/pack.amgp", std::ios::binary) << c.pack;
+    std::ofstream(dir + "/pack.idx", std::ios::binary) << c.index;
+
+    GraphCache cache;
+    cache.AttachStore(dir);
+    SolveOptions options = plain;
+    options.cache = &cache;
+    const SolveResult served = SolveEmptiness(loose_system, all, options);
+    EXPECT_EQ(served.nonempty, loose_reference.nonempty);
+    EXPECT_TRUE(served.stats.graph_from_cache);
+    EXPECT_EQ(served.stats.members_enumerated, 0u);
+    const SolveResult rebuilt = SolveEmptiness(packed_system, all, options);
+    EXPECT_EQ(rebuilt.nonempty, packed_reference.nonempty);
+    EXPECT_FALSE(rebuilt.stats.graph_from_cache);
+    EXPECT_GT(rebuilt.stats.members_enumerated, 0u);
+    EXPECT_EQ(cache.store_loads(), 1u);
+    EXPECT_EQ(cache.store_load_failures(), 0u);
+    EXPECT_EQ(cache.store_writes(), 1u) << "the rebuilt key saves loose";
+
+    const StoreSweepResult swept =
+        GraphStore(dir).Sweep(/*max_bytes=*/1, /*max_files=*/0);
+    EXPECT_EQ(swept.files_removed, 2u);
+    std::vector<std::string> left;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      left.push_back(entry.path().filename().string());
+    }
+    std::sort(left.begin(), left.end());
+    EXPECT_EQ(left, (std::vector<std::string>{"pack.amgp", "pack.idx"}));
+    auto read = [](const std::string& path) {
+      std::ifstream in(path, std::ios::binary);
+      return std::string(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(read(dir + "/pack.amgp"), c.pack);
+    EXPECT_EQ(read(dir + "/pack.idx"), c.index);
+  }
+}
+
+// One small complete graph the thousand-key test saves under many
+// synthetic keys: it needs volume, not variety, and the store validates
+// entries by the key they were saved under, not by what the graph "means".
 SubTransitionGraph BuildSmallCompleteGraph(const AllStructuresClass& all,
                                            const DdsSystem& system) {
   std::vector<FormulaRef> guards = GuardsOf(system);
@@ -577,8 +740,8 @@ SubTransitionGraph BuildSmallCompleteGraph(const AllStructuresClass& all,
   return graph;
 }
 
-TEST(StoreTest, RepackFoldsAThousandKeysIntoByteIdenticalPackLoads) {
-  const std::string dir = StoreDir("repack_thousand");
+TEST(StoreTest, AThousandKeysLoadByteIdenticalInAFreshHandle) {
+  const std::string dir = StoreDir("thousand_keys");
   AllStructuresClass all(GraphZooSchema());
   DdsSystem system = ContradictionSystem();
   std::vector<FormulaRef> guards = GuardsOf(system);
@@ -593,21 +756,9 @@ TEST(StoreTest, RepackFoldsAThousandKeysIntoByteIdenticalPackLoads) {
     keys.push_back("synthetic/" + std::to_string(i));
     ASSERT_TRUE(store.Save(keys.back(), graph));
   }
-  EXPECT_EQ(store.LooseFileCount(), kKeys);
-  EXPECT_EQ(store.PackEntryCount(), 0u);
 
-  const StoreRepackResult repack = store.Repack();
-  EXPECT_TRUE(repack.performed);
-  EXPECT_TRUE(repack.error.empty()) << repack.error;
-  EXPECT_EQ(repack.entries, kKeys);
-  EXPECT_EQ(repack.loose_folded, kKeys);
-  EXPECT_EQ(repack.loose_kept, 0u);
-  EXPECT_EQ(store.LooseFileCount(), 0u);
-  EXPECT_EQ(store.PackEntryCount(), kKeys);
-  EXPECT_FALSE(store.PackNeedsRepair());
-
-  // A fresh handle — a fresh process — must serve every key from the
-  // pack, byte-identical to what was saved.
+  // A fresh handle — a fresh process — must serve every key,
+  // byte-identical to what was saved.
   GraphStore reader(dir);
   for (const std::string& key : keys) {
     GraphStore::LoadResult load = reader.Load(key, all.schema(), guards, k);
@@ -615,186 +766,6 @@ TEST(StoreTest, RepackFoldsAThousandKeysIntoByteIdenticalPackLoads) {
     EXPECT_EQ(SerializeGraph(*load.graph, key), SerializeGraph(graph, key))
         << key;
   }
-  EXPECT_EQ(reader.counters().pack_loads, kKeys);
-  EXPECT_EQ(reader.counters().loose_loads, 0u);
-  EXPECT_EQ(reader.counters().load_failures, 0u);
-}
-
-TEST(StoreTest, RepackSurvivesACrashAtEveryKillPoint) {
-  AllStructuresClass all(GraphZooSchema());
-  DdsSystem system = ContradictionSystem();
-  std::vector<FormulaRef> guards = GuardsOf(system);
-  const int k = system.num_registers();
-  SubTransitionGraph graph = BuildSmallCompleteGraph(all, system);
-
-  constexpr std::uint64_t kKeys = 16;
-  struct Case {
-    RepackKillPoint kill;
-    const char* name;
-  };
-  for (const Case& c :
-       {Case{RepackKillPoint::kBeforePackRename, "before_pack_rename"},
-        Case{RepackKillPoint::kBeforeIndexRename, "before_index_rename"},
-        Case{RepackKillPoint::kBeforeLooseDelete, "before_loose_delete"}}) {
-    SCOPED_TRACE(c.name);
-    const std::string dir = StoreDir(std::string("repack_kill_") + c.name);
-    std::vector<std::string> keys;
-    {
-      GraphStore store(dir);
-      for (std::uint64_t i = 0; i < kKeys; ++i) {
-        keys.push_back("kill/" + std::to_string(i));
-        ASSERT_TRUE(store.Save(keys.back(), graph));
-      }
-      store.Repack(c.kill);  // the "crash"
-    }
-
-    // A fresh process after the crash: every key still loads
-    // byte-identical — the loose files stay authoritative until both
-    // renames land, and a pack without its matching index is invisible.
-    GraphStore reader(dir);
-    for (const std::string& key : keys) {
-      GraphStore::LoadResult load = reader.Load(key, all.schema(), guards, k);
-      ASSERT_NE(load.graph, nullptr) << key;
-      EXPECT_EQ(SerializeGraph(*load.graph, key), SerializeGraph(graph, key));
-    }
-    EXPECT_EQ(reader.LooseFileCount(), kKeys);
-    if (c.kill == RepackKillPoint::kBeforePackRename) {
-      EXPECT_EQ(reader.PackEntryCount(), 0u);
-      EXPECT_FALSE(reader.PackNeedsRepair()) << "no pack was published";
-    }
-    if (c.kill == RepackKillPoint::kBeforeIndexRename) {
-      EXPECT_TRUE(reader.PackNeedsRepair())
-          << "a published pack without its index must read as repairable";
-      EXPECT_EQ(reader.PackEntryCount(), 0u);
-    }
-
-    // The next repack completes the interrupted fold: a fresh generation
-    // with every key, loose tier empty, index live.
-    const StoreRepackResult recovery = reader.Repack();
-    EXPECT_TRUE(recovery.performed);
-    EXPECT_TRUE(recovery.error.empty()) << recovery.error;
-    EXPECT_EQ(recovery.entries, kKeys);
-    EXPECT_EQ(reader.LooseFileCount(), 0u);
-    EXPECT_FALSE(reader.PackNeedsRepair());
-    GraphStore packed(dir);
-    for (const std::string& key : keys) {
-      GraphStore::LoadResult load = packed.Load(key, all.schema(), guards, k);
-      ASSERT_NE(load.graph, nullptr) << key;
-      EXPECT_EQ(SerializeGraph(*load.graph, key), SerializeGraph(graph, key));
-    }
-    EXPECT_EQ(packed.counters().pack_loads, kKeys);
-  }
-}
-
-TEST(StoreTest, StaleIndexAfterCrashRecoversPackOnlyEntriesByScan) {
-  // Generation 1 folds its keys into the pack and deletes the loose files
-  // — the pack is now the ONLY copy. Generation 2 crashes between the
-  // pack rename and the index rename: the directory holds the new pack
-  // bound to the old, now-stale index, so readers see no pack at all.
-  // The recovery repack must resurrect the pack-only entries by
-  // sequential scan; losing them would be real data loss.
-  const std::string dir = StoreDir("repack_stale_index");
-  AllStructuresClass all(GraphZooSchema());
-  DdsSystem system = ContradictionSystem();
-  std::vector<FormulaRef> guards = GuardsOf(system);
-  const int k = system.num_registers();
-  SubTransitionGraph graph = BuildSmallCompleteGraph(all, system);
-
-  GraphStore store(dir);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 8; ++i) {
-    keys.push_back("gen1/" + std::to_string(i));
-    ASSERT_TRUE(store.Save(keys.back(), graph));
-  }
-  ASSERT_TRUE(store.Repack().performed);
-  ASSERT_EQ(store.LooseFileCount(), 0u);
-  for (int i = 0; i < 4; ++i) {
-    keys.push_back("gen2/" + std::to_string(i));
-    ASSERT_TRUE(store.Save(keys.back(), graph));
-  }
-  store.Repack(RepackKillPoint::kBeforeIndexRename);  // the "crash"
-
-  GraphStore reader(dir);
-  EXPECT_TRUE(reader.PackNeedsRepair());
-  // The gen-1 keys are temporarily invisible (their only copy sits in the
-  // unindexed pack) — unavailable, but not lost:
-  EXPECT_EQ(reader.Load(keys.front(), all.schema(), guards, k).graph,
-            nullptr);
-  const StoreRepackResult recovery = reader.Repack();
-  EXPECT_TRUE(recovery.performed);
-  EXPECT_TRUE(recovery.error.empty()) << recovery.error;
-  EXPECT_EQ(recovery.entries, 12u);
-  EXPECT_FALSE(reader.PackNeedsRepair());
-  GraphStore packed(dir);
-  for (const std::string& key : keys) {
-    GraphStore::LoadResult load = packed.Load(key, all.schema(), guards, k);
-    ASSERT_NE(load.graph, nullptr) << key;
-    EXPECT_EQ(SerializeGraph(*load.graph, key), SerializeGraph(graph, key));
-  }
-}
-
-TEST(StoreTest, TruncatedPackRecoversItsValidPrefixOnTheNextRepack) {
-  // Tear the tail of a published pack (disk trouble after the fold). The
-  // size-bound index stops matching, so the whole pack reads as absent;
-  // the next repack's sequential scan keeps every whole entry before the
-  // tear and publishes a clean generation from them.
-  const std::string dir = StoreDir("repack_truncated");
-  AllStructuresClass all(GraphZooSchema());
-  DdsSystem system = ContradictionSystem();
-  std::vector<FormulaRef> guards = GuardsOf(system);
-  const int k = system.num_registers();
-  SubTransitionGraph graph = BuildSmallCompleteGraph(all, system);
-
-  GraphStore store(dir);
-  constexpr std::uint64_t kKeys = 8;
-  std::vector<std::string> keys;
-  for (std::uint64_t i = 0; i < kKeys; ++i) {
-    keys.push_back("torn/" + std::to_string(i));
-    ASSERT_TRUE(store.Save(keys.back(), graph));
-  }
-  ASSERT_TRUE(store.Repack().performed);
-
-  const std::uint64_t pack_size = fs::file_size(store.PackPath());
-  fs::resize_file(store.PackPath(), pack_size - 5);  // tear the last entry
-
-  GraphStore reader(dir);
-  EXPECT_TRUE(reader.PackNeedsRepair());
-  const StoreRepackResult recovery = reader.Repack();
-  EXPECT_TRUE(recovery.performed);
-  EXPECT_TRUE(recovery.error.empty()) << recovery.error;
-  EXPECT_EQ(recovery.entries, kKeys - 1) << "only the torn entry is gone";
-  EXPECT_FALSE(reader.PackNeedsRepair());
-
-  GraphStore packed(dir);
-  std::uint64_t survivors = 0;
-  for (const std::string& key : keys) {
-    GraphStore::LoadResult load = packed.Load(key, all.schema(), guards, k);
-    if (load.graph == nullptr) continue;
-    EXPECT_EQ(SerializeGraph(*load.graph, key), SerializeGraph(graph, key));
-    ++survivors;
-  }
-  EXPECT_EQ(survivors, kKeys - 1);
-}
-
-TEST(StoreTest, RepackCleansStaleTempFilesFromCrashedRuns) {
-  const std::string dir = StoreDir("repack_stale_tmp");
-  AllStructuresClass all(GraphZooSchema());
-  DdsSystem system = ContradictionSystem();
-  SubTransitionGraph graph = BuildSmallCompleteGraph(all, system);
-
-  GraphStore store(dir);
-  ASSERT_TRUE(store.Save("tmp/0", graph));
-  // Leftovers of a repack that died mid-write in some earlier process.
-  const std::string stale_pack = store.PackPath() + ".tmp.999.7";
-  const std::string stale_idx = store.IndexPath() + ".tmp.999.7";
-  std::ofstream(stale_pack) << "garbage";
-  std::ofstream(stale_idx) << "garbage";
-
-  const StoreRepackResult repack = store.Repack();
-  EXPECT_TRUE(repack.performed);
-  EXPECT_EQ(repack.entries, 1u);
-  EXPECT_FALSE(fs::exists(stale_pack));
-  EXPECT_FALSE(fs::exists(stale_idx));
 }
 
 }  // namespace

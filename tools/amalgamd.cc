@@ -82,13 +82,10 @@ void PrintUsage(const char* argv0) {
       "maintenance (need --store-dir; see docs/OPERATIONS.md):\n"
       "  --maintenance-interval-ms N  run a background maintenance pass\n"
       "                          (complete partial store entries while\n"
-      "                          idle, repack, sweep) every N ms; 0 = only\n"
+      "                          idle, sweep) every N ms; 0 = only\n"
       "                          on {\"op\":\"maintain\"} (default)\n"
       "  --prewarm               replay DIR/access.jsonl on startup,\n"
       "                          promoting persisted graphs into memory\n"
-      "  --repack-min-loose N    fold the loose tier into the pack when a\n"
-      "                          pass finds >= N loose files (default 8;\n"
-      "                          0 = passes never repack)\n"
       "\n"
       "observability (see docs/OBSERVABILITY.md):\n"
       "  --metrics-tcp PORT      serve the metrics registry as a Prometheus\n"
@@ -114,7 +111,6 @@ struct Cli {
   amalgam::QueryService::Options service;
   amalgam::DaemonServerOptions net;
   int maintenance_interval_ms = 0;
-  std::uint64_t repack_min_loose = 8;
   bool prewarm = false;
   bool stdio = false;
   bool help = false;
@@ -197,8 +193,6 @@ Cli ParseArgs(int argc, char** argv) {
       if (need_uint(&n)) cli.service.store_max_files = n;
     } else if (flag == "--maintenance-interval-ms") {
       if (need_uint(&n)) cli.maintenance_interval_ms = static_cast<int>(n);
-    } else if (flag == "--repack-min-loose") {
-      if (need_uint(&n)) cli.repack_min_loose = n;
     } else if (flag == "--prewarm") {
       cli.prewarm = true;
     } else {
@@ -251,7 +245,6 @@ amalgam::ServiceStats ScrapeStats(amalgam::QueryService& service,
     stats.maintenance_passes = mstats.passes;
     stats.partials_completed = mstats.partials_completed;
     stats.prewarm_loads = mstats.prewarm_loads;
-    stats.repacks = mstats.repacks;
   }
   return stats;
 }
@@ -371,7 +364,6 @@ int main(int argc, char** argv) {
     mopts.interval_ms = cli.maintenance_interval_ms;
     mopts.store_max_bytes = cli.service.store_max_bytes;
     mopts.store_max_files = cli.service.store_max_files;
-    mopts.repack_min_loose = cli.repack_min_loose;
     maintenance =
         std::make_unique<amalgam::MaintenanceLoop>(service, mopts);
     if (cli.prewarm) {
