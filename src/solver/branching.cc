@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace amalgam {
@@ -41,6 +42,13 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
 BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                              const GraphSpec& spec,
                                              const SolveOptions& options) {
+  std::size_t num_branches = 0;
+  for (const BranchingRule& rule : system.rules()) {
+    num_branches += rule.branches.size();
+  }
+  if (spec.slot.size() != num_branches) {
+    throw std::invalid_argument("the GraphSpec was derived for another system");
+  }
   ScopedSpan solve_span(options.trace, "solve");
   const DdsSystem& skel = system.skeleton();
   BranchingSolveResult result;
@@ -59,9 +67,10 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
   result.stats.configs =
       static_cast<std::uint64_t>(num_shapes) * num_states;
 
-  // Per-branch adjacency view: old_shape -> new shapes.
-  std::size_t num_branches = spec.guards.size();
-  std::vector<std::unordered_map<int, std::vector<int>>> edges(num_branches);
+  // Per-guard adjacency view: old_shape -> new shapes. Branches with one
+  // guard text share a slot (spec.slot maps flattened branch ids to slots).
+  std::vector<std::unordered_map<int, std::vector<int>>> edges(
+      spec.guards.size());
   for (int s = 0; s < num_shapes; ++s) {
     for (const SubTransitionGraph::Edge& e : graph->edges_from(s)) {
       edges[e.guard][s].push_back(e.new_shape);
@@ -86,7 +95,7 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
         bool all_branches = true;
         for (std::size_t b = 0; b < rule.branches.size() && all_branches;
              ++b) {
-          const auto& branch_edges = edges[branch_base + b];
+          const auto& branch_edges = edges[spec.slot[branch_base + b]];
           auto it = branch_edges.find(s);
           bool some_alive = false;
           if (it != branch_edges.end()) {

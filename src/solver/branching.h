@@ -8,9 +8,10 @@
 // configurations) decides the problem on the same sub-transition relation
 // the linear solver builds — and since the port onto SubTransitionGraph it
 // literally is the same relation: one shared interner, one edge store,
-// labeled by flattened branch index instead of rule id, cacheable across
-// queries through the same GraphCache, and fetched, resumed, built and
-// published by the same GraphAcquisition routine (solver/engine.h).
+// labeled by guard slot (GraphSpec::slot maps each flattened branch to
+// its distinct guard), so a linear and a branching query over one guard
+// set share one graph through the same GraphCache, fetched, resumed, built
+// and published by the same GraphAcquisition routine (solver/engine.h).
 #ifndef AMALGAM_SOLVER_BRANCHING_H_
 #define AMALGAM_SOLVER_BRANCHING_H_
 

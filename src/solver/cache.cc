@@ -1,6 +1,7 @@
 #include "solver/cache.h"
 
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -22,6 +23,28 @@ bool StrictlyFurtherAlong(const SubTransitionGraph& incumbent,
          (a == b && incumbent.num_edges() < candidate.num_edges());
 }
 
+// The fingerprint is length-prefixed so the key decodes uniquely even if a
+// backend's fingerprint happens to embed the separator byte.
+std::string KeyHeader(const SolverBackend& backend, int k) {
+  const std::string fp = backend.Fingerprint();
+  std::string key = std::to_string(fp.size());
+  key += ':';
+  key += fp;
+  key += '\x1f';
+  key += std::to_string(k);
+  return key;
+}
+
+// Length-prefixed: printed guards embed free-text symbol names, which must
+// not be able to imitate the separator and merge two different guard lists
+// into one key.
+void AppendGuardText(std::string& key, std::string_view printed) {
+  key += '\x1f';
+  key += std::to_string(printed.size());
+  key += ':';
+  key += printed;
+}
+
 }  // namespace
 
 GraphCache::GraphCache(std::size_t max_entries) : max_entries_(max_entries) {}
@@ -30,14 +53,7 @@ GraphCache::~GraphCache() = default;
 
 std::string GraphCache::Key(const SolverBackend& backend, int k,
                             std::span<const FormulaRef> guards) {
-  // The fingerprint is length-prefixed so the key decodes uniquely even if
-  // a backend's fingerprint happens to embed the separator byte.
-  const std::string fp = backend.Fingerprint();
-  std::string key = std::to_string(fp.size());
-  key += ':';
-  key += fp;
-  key += '\x1f';
-  key += std::to_string(k);
+  std::string key = KeyHeader(backend, k);
   const Schema& schema = *backend.schema();
   // Slots holding the same formula object print it once; later slots copy
   // its segment (offset and length within `key`).
@@ -49,17 +65,17 @@ std::string GraphCache::Key(const SolverBackend& backend, int k,
       key.append(key, it->second.first, it->second.second);
       continue;
     }
-    // Length-prefixed: printed guards embed free-text symbol names, which
-    // must not be able to imitate the separator and merge two different
-    // guard lists into one key.
-    const std::string printed = g->ToString(schema);
     const std::size_t begin = key.size();
-    key += '\x1f';
-    key += std::to_string(printed.size());
-    key += ':';
-    key += printed;
+    AppendGuardText(key, g->ToString(schema));
     it->second = {begin, key.size() - begin};
   }
+  return key;
+}
+
+std::string GraphCache::KeyOfPrinted(const SolverBackend& backend, int k,
+                                     std::span<const std::string> printed) {
+  std::string key = KeyHeader(backend, k);
+  for (const std::string& text : printed) AppendGuardText(key, text);
   return key;
 }
 

@@ -61,10 +61,16 @@ class GraphCache {
   explicit GraphCache(std::size_t max_entries = 0);
   ~GraphCache();
 
-  /// The cache key for a query: backend fingerprint + register count +
-  /// printed guard set.
+  /// The cache key for a graph: backend fingerprint + register count +
+  /// each slot's guard printed under the backend schema, in slot order.
+  /// GraphSpecFor builds its keys through KeyOfPrinted from the sorted
+  /// distinct texts, so Key(backend, k, spec.guards) == spec.key; a list
+  /// that is not sorted and duplicate-free names no graph an engine builds.
   static std::string Key(const SolverBackend& backend, int k,
                          std::span<const FormulaRef> guards);
+  /// The same key over guard texts already printed under the schema.
+  static std::string KeyOfPrinted(const SolverBackend& backend, int k,
+                                  std::span<const std::string> printed);
 
   /// Attaches the disk tier rooted at `dir` (created if absent; throws
   /// std::runtime_error when that fails). Re-attaching the same directory

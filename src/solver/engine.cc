@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "solver/branching.h"
 #include "solver/store.h"
@@ -13,15 +16,46 @@ namespace {
 constexpr int kUnvisited = -1;
 constexpr int kRoot = -2;
 
-// The tail both GraphSpecFor overloads share: the Lemma 6 schema check,
-// k, and the key — the only place a query's key is printed.
-GraphSpec FinishSpec(GraphSpec spec, const DdsSystem& skeleton, bool keyed) {
-  if (!IsPrefixSchema(skeleton.schema(), *spec.backend->schema())) {
+// The tail both GraphSpecFor overloads share: the Lemma 6 schema check, k,
+// and the guard set. `listed` holds one guard per rule (or per flattened
+// branch). Each distinct formula object is printed once under the backend
+// schema; equal texts merge into one slot and slots are numbered in text
+// order, and the key — the only place a query's key is built — is made of
+// those same texts.
+GraphSpec FinishSpec(std::shared_ptr<const SolverBackend> backend,
+                     const DdsSystem& skeleton,
+                     std::span<const FormulaRef> listed, bool keyed) {
+  const Schema& schema = *backend->schema();
+  if (!IsPrefixSchema(skeleton.schema(), schema)) {
     throw std::invalid_argument(
         "the system's schema must be a prefix of the class's schema");
   }
+  GraphSpec spec;
+  spec.backend = std::move(backend);
   spec.k = skeleton.num_registers();
-  if (keyed) spec.key = GraphCache::Key(*spec.backend, spec.k, spec.guards);
+
+  std::unordered_map<const Formula*, std::size_t> text_of;
+  std::vector<std::string> texts;
+  for (const FormulaRef& g : listed) {
+    if (text_of.try_emplace(g.get(), texts.size()).second) {
+      texts.push_back(g->ToString(schema));
+    }
+  }
+  std::vector<std::string> sorted = texts;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  spec.guards.resize(sorted.size());
+  spec.slot.reserve(listed.size());
+  for (const FormulaRef& g : listed) {
+    const std::string& text = texts[text_of[g.get()]];
+    const int slot = static_cast<int>(
+        std::lower_bound(sorted.begin(), sorted.end(), text) - sorted.begin());
+    if (spec.guards[slot] == nullptr) spec.guards[slot] = g;
+    spec.slot.push_back(slot);
+  }
+  if (keyed) {
+    spec.key = GraphCache::KeyOfPrinted(*spec.backend, spec.k, sorted);
+  }
   return spec;
 }
 }  // namespace
@@ -32,28 +66,26 @@ GraphSpec GraphSpecFor(std::shared_ptr<const SolverBackend> backend,
     throw std::invalid_argument(
         "guards must be quantifier-free; run EliminateExistentials first");
   }
-  GraphSpec spec;
-  spec.backend = std::move(backend);
-  spec.guards.reserve(system.rules().size());
+  std::vector<FormulaRef> listed;
+  listed.reserve(system.rules().size());
   for (const TransitionRule& rule : system.rules()) {
-    spec.guards.push_back(rule.guard);
+    listed.push_back(rule.guard);
   }
-  return FinishSpec(std::move(spec), system, keyed);
+  return FinishSpec(std::move(backend), system, listed, keyed);
 }
 
 GraphSpec GraphSpecFor(std::shared_ptr<const SolverBackend> backend,
                        const BranchingSystem& system, bool keyed) {
-  GraphSpec spec;
-  spec.backend = std::move(backend);
+  std::vector<FormulaRef> listed;
   for (const BranchingRule& rule : system.rules()) {
     for (const Branch& branch : rule.branches) {
       if (!branch.guard->IsQuantifierFree()) {
         throw std::invalid_argument("branching guards must be QF");
       }
-      spec.guards.push_back(branch.guard);
+      listed.push_back(branch.guard);
     }
   }
-  return FinishSpec(std::move(spec), system.skeleton(), keyed);
+  return FinishSpec(std::move(backend), system.skeleton(), listed, keyed);
 }
 
 GraphAcquisition::GraphAcquisition(const GraphSpec& spec,
@@ -138,7 +170,30 @@ ExplorationEngine::ExplorationEngine(const DdsSystem& system,
       backend_(*spec.backend),
       options_(options),
       k_(spec.k),
-      num_states_(system.num_states()) {}
+      num_states_(system.num_states()) {
+  const std::vector<TransitionRule>& rules = system.rules();
+  if (spec.slot.size() != rules.size()) {
+    throw std::invalid_argument("the GraphSpec was derived for another system");
+  }
+  // Sort the (cell, to) pairs and drop repeats: duplicated rules are one
+  // move, and the index does not depend on rule order.
+  std::vector<std::pair<int, int>> cells;
+  cells.reserve(rules.size());
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    cells.emplace_back(spec.slot[r] * num_states_ + rules[r].from,
+                       rules[r].to);
+  }
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  move_begin_.assign(spec.guards.size() * num_states_ + 1, 0);
+  moves_.reserve(cells.size());
+  for (const auto& [cell, to] : cells) {
+    ++move_begin_[cell + 1];
+    moves_.push_back(Move{cell % num_states_, to});
+  }
+  std::partial_sum(move_begin_.begin(), move_begin_.end(),
+                   move_begin_.begin());
+}
 
 void ExplorationEngine::EnsureConfigCapacity() {
   const std::size_t num_shapes =
@@ -159,28 +214,33 @@ void ExplorationEngine::SeedInitialShape(int shape) {
     if (!system_.is_initial(q)) continue;
     const int c = config_id(q, shape);
     if (parent_[c] != kUnvisited) continue;
-    parent_[c] = kRoot;
-    if (system_.is_accepting(q)) {
-      goal_ = c;
-      return;
-    }
-    queue_.push(c);
+    Reach(c, kRoot, -1);
   }
 }
 
-void ExplorationEngine::RelaxNewEdge(int rule, int old_shape, int new_shape,
-                                     int step) {
-  const TransitionRule& r = system_.rules()[rule];
-  if (parent_[config_id(r.from, old_shape)] == kUnvisited) return;
-  const int next = config_id(r.to, new_shape);
-  if (parent_[next] != kUnvisited) return;
-  parent_[next] = config_id(r.from, old_shape);
+bool ExplorationEngine::Reach(int next, int from, int step) {
+  parent_[next] = from;
   via_step_[next] = step;
-  if (system_.is_accepting(r.to)) {
+  ++configs_reached_;
+  if (system_.is_accepting(next % num_states_)) {
     goal_ = next;
-    return;
+    return false;
   }
   queue_.push(next);
+  return true;
+}
+
+void ExplorationEngine::RelaxNewEdge(int guard, int old_shape, int new_shape,
+                                     int step) {
+  const int first = move_begin_[guard * num_states_];
+  const int last = move_begin_[(guard + 1) * num_states_];
+  for (int m = first; m < last; ++m) {
+    const int from = config_id(moves_[m].from, old_shape);
+    if (parent_[from] == kUnvisited) continue;
+    const int next = config_id(moves_[m].to, new_shape);
+    if (parent_[next] != kUnvisited) continue;
+    if (!Reach(next, from, step)) return;
+  }
   DrainQueue();
 }
 
@@ -190,18 +250,17 @@ void ExplorationEngine::DrainQueue() {
     queue_.pop();
     const int state = c % num_states_;
     const int shape = c / num_states_;
-    for (const SubTransitionGraph::Edge& e : graph_->edges_from(shape)) {
-      const TransitionRule& rule = system_.rules()[e.guard];
-      if (rule.from != state) continue;
-      const int next = config_id(rule.to, e.new_shape);
-      if (parent_[next] != kUnvisited) continue;
-      parent_[next] = c;
-      via_step_[next] = e.step;
-      if (system_.is_accepting(rule.to)) {
-        goal_ = next;
-        return;
+    const std::vector<SubTransitionGraph::Edge>& edges =
+        graph_->edges_from(shape);
+    edges_scanned_ += edges.size();
+    for (const SubTransitionGraph::Edge& e : edges) {
+      const int cell = e.guard * num_states_ + state;
+      const int last = move_begin_[cell + 1];
+      for (int m = move_begin_[cell]; m < last; ++m) {
+        const int next = config_id(moves_[m].to, e.new_shape);
+        if (parent_[next] != kUnvisited) continue;
+        if (!Reach(next, c, e.step)) return;
       }
-      queue_.push(next);
     }
   }
 }
@@ -284,9 +343,9 @@ void ExplorationEngine::RunOnTheFly(bool cached) {
           ++result_.stats.members_enumerated;
           const bool swept = owned_graph_->ProcessJointMember(
               d, marks, result_.stats,
-              [&](int rule, int old_shape, int new_shape, int step) {
+              [&](int guard, int old_shape, int new_shape, int step) {
                 EnsureConfigCapacity();
-                RelaxNewEdge(rule, old_shape, new_shape, step);
+                RelaxNewEdge(guard, old_shape, new_shape, step);
                 return goal_ < 0;
               });
           if (swept) {
@@ -349,9 +408,9 @@ void ExplorationEngine::RunFrontierSweep() {
             ++result_.stats.members_enumerated;
             const bool swept = owned_graph_->ProcessJointMember(
                 d, marks, result_.stats,
-                [&](int rule, int old_shape, int new_shape, int step) {
+                [&](int guard, int old_shape, int new_shape, int step) {
                   EnsureConfigCapacity();
-                  RelaxNewEdge(rule, old_shape, new_shape, step);
+                  RelaxNewEdge(guard, old_shape, new_shape, step);
                   return goal_ < 0;
                 });
             return swept && goal_ < 0;
@@ -367,6 +426,8 @@ void ExplorationEngine::RunFrontierSweep() {
 
 void ExplorationEngine::ReplayGraph(const char* span_name) {
   ScopedSpan span(options_.trace, span_name);
+  const std::uint64_t edges_before = edges_scanned_;
+  const std::uint64_t configs_before = configs_reached_;
   EnsureConfigCapacity();
   for (int shape : graph_->initial_shapes()) {
     if (goal_ >= 0) break;
@@ -374,6 +435,8 @@ void ExplorationEngine::ReplayGraph(const char* span_name) {
   }
   DrainQueue();
   span.Annotate("goal_found", std::uint64_t{goal_ >= 0});
+  span.Annotate("edges_scanned", edges_scanned_ - edges_before);
+  span.Annotate("configs_reached", configs_reached_ - configs_before);
 }
 
 SolveResult ExplorationEngine::Run() {

@@ -37,6 +37,9 @@
 // Which graph a query needs is a GraphSpec; how it is fetched, resumed,
 // built and published is GraphAcquisition, the one routine the engine and
 // the branching fixpoint (and so every front door and the service) share.
+// The graph's edges carry guard slots, one per distinct guard (GraphSpec),
+// not rule ids; the engine turns an edge into configuration moves through
+// a per-system index from (guard slot, from-state) to to-states.
 //
 // All strategies share the canonical-form interner (solver/intern.h), the
 // predecessor links used for witness-path replay, and the witness
@@ -160,21 +163,28 @@ inline bool UsesGraphCache(const SolveOptions& options) {
 }
 
 /// Which sub-transition graph a query needs: in the paper it depends only
-/// on the class, k and the guard set. The positional front doors borrow
-/// the caller's backend (BorrowBackend); the query service owns the run
-/// classes it constructs.
+/// on the class, k and the *set* of guards. The positional front doors
+/// borrow the caller's backend (BorrowBackend); the query service owns the
+/// run classes it constructs.
 struct GraphSpec {
   std::shared_ptr<const SolverBackend> backend;
-  /// One slot per rule (graph guard index = rule id), or per branch in
-  /// (rule, branch) order (index = flattened branch id).
+  /// The distinct guards, one graph guard slot each, sorted by their
+  /// printed form under the backend schema (equal texts are one guard).
+  /// No rule order, duplicated guard or re-spaced guard text changes this
+  /// list, so systems over one guard set share one graph.
   std::vector<FormulaRef> guards;
+  /// The guard slot of each rule, in rule order, or of each branch in
+  /// (rule, branch) order: guards[slot[i]] prints like rule/branch i's guard.
+  std::vector<int> slot;
   int k = 0;
-  /// GraphCache::Key(*backend, k, guards); empty unless keyed.
+  /// GraphCache::Key(*backend, k, guards), built from the texts the slots
+  /// were sorted by; empty unless keyed.
   std::string key;
 };
 
-/// The spec of `system`'s graph over `backend`; `keyed` (pass
-/// UsesGraphCache(options)) prints the key, once. Throws
+/// The spec of `system`'s graph over `backend`: prints each distinct guard
+/// formula once, sorts and merges the texts into slots, and — when `keyed`
+/// (pass UsesGraphCache(options)) — builds the key from those texts. Throws
 /// std::invalid_argument unless every guard is quantifier-free (apply
 /// EliminateExistentials first) and the system's schema is a prefix of the
 /// backend's (Lemma 6: extra symbols are invisible to such guards).
@@ -273,8 +283,13 @@ class ExplorationEngine {
   /// when one of them is accepting.
   void SeedInitialShape(int shape);
 
-  /// Relaxes one fresh edge against the current reached set.
-  void RelaxNewEdge(int rule, int old_shape, int new_shape, int step);
+  /// Relaxes one fresh edge against the current reached set: every rule
+  /// whose guard sits in slot `guard` may take it.
+  void RelaxNewEdge(int guard, int old_shape, int new_shape, int step);
+
+  /// Marks `next` reached from `from` via witness step `step`; sets goal_
+  /// if its state is accepting, else queues it. Returns false at the goal.
+  bool Reach(int next, int from, int step);
 
   /// BFS over the recorded edges from the current queue until exhaustion or
   /// an accepting configuration.
@@ -285,13 +300,23 @@ class ExplorationEngine {
   void ReconstructWitness();
 
   const DdsSystem& system_;
-  // One guard per rule, in rule order: the graph's guard indices are rule
-  // ids.
+  // The graph's guard indices are the spec's slots, not rule ids.
   const GraphSpec& spec_;
   const SolverBackend& backend_;
   SolveOptions options_;
   int k_;
   int num_states_;
+
+  // The rules as a CSR index from (guard slot, from-state) to their
+  // distinct to-states: the moves of cell `slot * num_states_ + from` are
+  // moves_[move_begin_[cell] .. move_begin_[cell + 1]), sorted by to-state.
+  // A slot's cells are contiguous, so RelaxNewEdge scans one range too.
+  struct Move {
+    int from;
+    int to;
+  };
+  std::vector<int> move_begin_;
+  std::vector<Move> moves_;
 
   // The active graph: `owned_graph_` when this query grows it on the fly
   // (resumption always copies the shared cache entry first), a cached or
@@ -305,6 +330,10 @@ class ExplorationEngine {
   std::vector<int> via_step_;
   std::queue<int> queue_;
   int goal_ = -1;
+  // Deterministic BFS work, annotated on the bfs/bfs_replay spans: graph
+  // edges read out of dequeued shapes, and configurations marked reached.
+  std::uint64_t edges_scanned_ = 0;
+  std::uint64_t configs_reached_ = 0;
 
   SolveResult result_;
 };

@@ -99,7 +99,7 @@ std::shared_ptr<SubTransitionGraph> SubTransitionGraph::FromParts(
   }
   if (num_edges != static_cast<std::uint64_t>(num_steps)) return nullptr;
   for (const SubTransition& st : steps) {
-    if (st.rule < 0 || st.rule >= num_guards) return nullptr;
+    if (st.guard < 0 || st.guard >= num_guards) return nullptr;
     if (st.marks.size() != static_cast<std::size_t>(2 * k)) return nullptr;
   }
   graph->edges_by_shape_ = std::move(edges_by_shape);

@@ -23,6 +23,9 @@
 // A graph depends only on (backend, k, guard set) — not on the control
 // skeleton that supplied the guards — so it is shareable across queries and
 // across solvers; solver/cache.h keys that reuse by backend fingerprint.
+// The guard set is a *set*: GraphSpecFor (solver/engine.h) hands the graph
+// one slot per distinct guard, sorted by printed form, so rule order and
+// repeated guards never change a graph, its edges or its key.
 // Parallel-built and serial-built graphs are interchangeable cache values
 // for the same reason.
 //
@@ -55,7 +58,7 @@ namespace amalgam {
 /// One sub-transition along a witness path: the guard that held and the
 /// joint member of the class (with its 2k-mark tuple) in which it held.
 struct SubTransition {
-  int rule = -1;  // guard index (the engine's rule / the flattened branch)
+  int guard = -1;  // the graph's guard slot (GraphSpec::guards index)
   Structure joint;
   std::vector<Elem> marks;  // old valuation ++ new valuation
 };
@@ -103,8 +106,8 @@ inline constexpr std::uint32_t kCursorPhaseJoint = 1;
 inline constexpr std::uint32_t kCursorPhaseComplete = 2;
 
 /// The labeled graph of sub-transitions between interned shapes. Guards are
-/// indexed 0..n-1; the caller fixes their meaning (rule ids for the linear
-/// engine, flattened branch ids for the branching solver).
+/// indexed 0..n-1 by slot; GraphSpec::slot maps each rule of the linear
+/// engine, and each flattened branch of the branching solver, to its slot.
 class SubTransitionGraph {
  public:
   /// An edge out of an old shape: the guard that held, the interned shape

@@ -331,7 +331,7 @@ std::string SerializeGraph(const SubTransitionGraph& graph,
   AppendVarint(out, graph.num_steps());
   for (int i = 0; i < graph.num_steps(); ++i) {
     const SubTransition& step = graph.step(i);
-    AppendVarint(out, step.rule);
+    AppendVarint(out, step.guard);
     out += step.joint.EncodeContent();
     AppendVarint(out, step.marks.size());
     for (Elem m : step.marks) AppendVarint(out, m);
@@ -419,7 +419,7 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
   steps.reserve(num_steps);
   for (std::size_t i = 0; i < num_steps; ++i) {
     SubTransition step{0, Structure(schema, 0), {}};
-    if (!r.ReadCounted(&step.rule)) return nullptr;
+    if (!r.ReadCounted(&step.guard)) return nullptr;
     if (!ReadStructure(r, schema, &step.joint)) return nullptr;
     if (!ReadMarks(r, static_cast<std::size_t>(2 * k), step.joint.size(),
                    &step.marks)) {

@@ -15,7 +15,8 @@
 //
 //   "AMGS" magic, varint format version (= 1)
 //   varint key length, key bytes        (the GraphCache key, verified on load)
-//   varint k, varint guard count        (verified against the loading query)
+//   varint k, varint guard count        (verified against the loading query;
+//                                       the distinct guards of the key's set)
 //   varint cursor phase, varint cursor next_member, varint edge count
 //                                       (progress header — lets Save compare
 //                                       two files without parsing the body)
@@ -29,9 +30,11 @@
 //   edge block:   per shape (#edges, per edge guard, new shape, step id)
 //   8-byte little-endian FNV-1a checksum of all preceding bytes
 //
-// Guards are NOT serialized: the key already pins the printed guard set,
-// and the loading query supplies the live FormulaRefs — so the store never
-// needs a formula parser, and a key match guarantees the guards line up.
+// Guards are NOT serialized: the key already pins the printed guard set —
+// the sorted distinct texts, and a step's or an edge's guard is a slot in
+// that order — and the loading query supplies the live FormulaRefs, so the
+// store never needs a formula parser, and a key match guarantees the
+// guards line up.
 // Every read is bounds-checked and every index validated; any mismatch
 // (truncation, corruption, key/schema drift, version skew) makes the load
 // fail soft — the caller falls back to a fresh build.

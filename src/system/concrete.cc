@@ -117,22 +117,33 @@ std::optional<ConcreteRun> FindAcceptingRun(const DdsSystem& system,
     return run;
   };
 
+  // One scratch valuation (old registers ++ new registers, the guards'
+  // variable convention): the old half is filled once per dequeued
+  // configuration, the new half steps through every tuple in place, and
+  // the recursive evaluator reads it directly.
+  std::vector<Elem> valuation(2 * k);
+  const std::span<Elem> next(valuation.data() + k, k);
   while (!queue.empty()) {
     std::uint64_t code = queue.front();
     queue.pop();
-    ConcreteConfig c = codec.Decode(code);
+    const ConcreteConfig c = codec.Decode(code);
     if (system.is_accepting(c.state)) return reconstruct(code);
+    for (int i = 0; i < k; ++i) valuation[system.OldVar(i)] = c.valuation[i];
     for (const TransitionRule& rule : system.rules()) {
       if (rule.from != c.state) continue;
-      std::vector<Elem> next(k);
-      ForEachTuple(static_cast<int>(n), k, [&](const std::vector<int>& t) {
-        for (int i = 0; i < k; ++i) next[i] = static_cast<Elem>(t[i]);
-        std::uint64_t next_code = codec.Encode(rule.to, next);
-        if (parent[next_code] != kNoParent) return;
-        if (!EvalGuard(system, rule, db, c.valuation, next)) return;
-        parent[next_code] = code;
-        queue.push(next_code);
-      });
+      std::fill(next.begin(), next.end(), Elem{0});
+      while (true) {
+        const std::uint64_t next_code = codec.Encode(rule.to, next);
+        if (parent[next_code] == kNoParent &&
+            EvalFormula(*rule.guard, db, valuation)) {
+          parent[next_code] = code;
+          queue.push(next_code);
+        }
+        int i = k - 1;
+        while (i >= 0 && next[i] + 1 == n) next[i--] = 0;
+        if (i < 0) break;
+        ++next[i];
+      }
     }
   }
   return std::nullopt;

@@ -5,12 +5,16 @@
 // point of the refactor).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "fraisse/data_class.h"
 #include "fraisse/hom_class.h"
 #include "fraisse/relational.h"
+#include "solver/branching.h"
+#include "solver/cache.h"
 #include "solver/emptiness.h"
+#include "solver/store.h"
 #include "system/concrete.h"
 #include "system/zoo.h"
 #include "trees/solve.h"
@@ -226,6 +230,257 @@ TEST_P(EngineRandomDifferential, StrategiesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineRandomDifferential,
                          ::testing::Range(0, 15));
+
+// ---- Guard-set metamorphic relations. ----
+//
+// A graph depends on (class, k, *set* of guards), so no rule order, no
+// duplicated guard and no re-spaced guard text may change its key, its
+// bytes or a verdict.
+
+enum Variation : unsigned {
+  kPermute = 1,    // the rules in reverse order
+  kDuplicate = 2,  // every even-indexed rule listed twice
+  kRespace = 4,    // each guard reparsed from a re-spaced printed text
+};
+
+// Each rule's guard text gets its own padding, so every rule holds a
+// formula object of its own with the same printed form.
+std::string Respace(const std::string& text, std::size_t pad) {
+  std::string out;
+  for (char c : text) {
+    if (c == ' ') continue;
+    if (c == ')') out += ' ';
+    out += c;
+    if (c == '(') out += "  ";
+  }
+  return out + std::string(pad, ' ');
+}
+
+DdsSystem Vary(const DdsSystem& system, unsigned how) {
+  DdsSystem out(system.schema_ref());
+  for (int q = 0; q < system.num_states(); ++q) {
+    out.AddState(system.state_name(q), system.is_initial(q),
+                 system.is_accepting(q));
+  }
+  std::vector<std::string> names;
+  for (int r = 0; r < system.num_registers(); ++r) {
+    out.AddRegister(system.register_name(r));
+    names.push_back(system.register_name(r) + "_old");
+  }
+  for (int r = 0; r < system.num_registers(); ++r) {
+    names.push_back(system.register_name(r) + "_new");
+  }
+  std::vector<TransitionRule> rules = system.rules();
+  if (how & kDuplicate) {
+    const std::size_t n = rules.size();
+    for (std::size_t i = 0; i < n; i += 2) rules.push_back(rules[i]);
+  }
+  if (how & kPermute) std::reverse(rules.begin(), rules.end());
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (how & kRespace) {
+      out.AddRule(rules[i].from, rules[i].to,
+                  Respace(rules[i].guard->ToString(system.schema(), names), i));
+    } else {
+      out.AddRule(rules[i].from, rules[i].to, rules[i].guard);
+    }
+  }
+  return out;
+}
+
+struct GraphOutcome {
+  std::string key;
+  std::string bytes;  // SerializeGraph of the complete graph
+  bool nonempty = false;
+};
+
+// An eager cached solve: the key, the complete graph it built, the
+// verdict. A nonempty verdict's witness must validate when the backend
+// reconstructs one.
+GraphOutcome SolveAndSerialize(const DdsSystem& system,
+                               std::shared_ptr<const SolverBackend> backend,
+                               bool build_witness) {
+  GraphCache cache;
+  SolveOptions options;
+  options.strategy = SolveStrategy::kEager;
+  options.build_witness = build_witness;
+  options.cache = &cache;
+  const GraphSpec spec = GraphSpecFor(backend, system, /*keyed=*/true);
+  const SolveResult r = ExplorationEngine(system, spec, options).Run();
+  if (r.nonempty && r.witness_db.has_value()) {
+    EXPECT_TRUE(ValidateAcceptingRun(system, *r.witness_db, *r.witness_run));
+  }
+  const std::shared_ptr<const SubTransitionGraph> graph =
+      cache.Lookup(spec.key);
+  EXPECT_NE(graph, nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  return {spec.key, graph ? SerializeGraph(*graph, spec.key) : "", r.nonempty};
+}
+
+// Every variation of `system` (each alone and all three at once) over the
+// backend `backend_for` makes for it.
+template <typename BackendFor>
+void ExpectGuardSetInvariance(const DdsSystem& system,
+                              const BackendFor& backend_for,
+                              bool build_witness) {
+  const GraphOutcome base =
+      SolveAndSerialize(system, backend_for(system), build_witness);
+  for (unsigned how : {unsigned{kPermute}, unsigned{kDuplicate},
+                       unsigned{kRespace}, kPermute | kDuplicate | kRespace}) {
+    SCOPED_TRACE("variation " + std::to_string(how));
+    const DdsSystem variant = Vary(system, how);
+    const GraphOutcome varied =
+        SolveAndSerialize(variant, backend_for(variant), build_witness);
+    EXPECT_EQ(varied.key, base.key);
+    EXPECT_TRUE(varied.bytes == base.bytes) << "graph bytes differ";
+    EXPECT_EQ(varied.nonempty, base.nonempty);
+    SolveOptions lazy;
+    lazy.build_witness = false;
+    EXPECT_EQ(SolveEmptiness(variant, *backend_for(variant), lazy).nonempty,
+              base.nonempty);
+  }
+}
+
+TEST(GuardSetTest, SystemZooGraphsIgnoreRuleOrderDuplicatesAndSpacing) {
+  auto all = std::make_shared<AllStructuresClass>(GraphZooSchema());
+  auto lifted = std::make_shared<LiftedHomClass>(Example2Template());
+  for (const DdsSystem& system :
+       {OddRedCycleSystem(), ReachRedSystem(), ContradictionSystem()}) {
+    ExpectGuardSetInvariance(
+        system, [&](const DdsSystem&) { return all; }, true);
+    ExpectGuardSetInvariance(
+        system, [&](const DdsSystem&) { return lifted; }, true);
+  }
+}
+
+TEST(GuardSetTest, WordAndTreeZooGraphsIgnoreRuleOrderDuplicatesAndSpacing) {
+  const Nfa alternating = NfaAlternatingAB();
+  const Nfa a_plus_b_plus = NfaAPlusBPlus();
+  for (const auto& [system, nfa] :
+       {std::pair{ZigZagSystem(2), &alternating},
+        std::pair{TwoMarkersSystem(), &a_plus_b_plus}}) {
+    ExpectGuardSetInvariance(
+        system,
+        [nfa](const DdsSystem& s) { return WordRunClassFor(s, *nfa); },
+        false);
+  }
+  const TreeAutomaton two = TaTwoLevel();
+  const TreeAutomaton comb = TaComb();
+  for (const auto& [system, automaton] :
+       {std::pair{DescendSystem(two, 2), &two},
+        std::pair{FindBBelowSystem(comb), &comb}}) {
+    ExpectGuardSetInvariance(
+        system,
+        [automaton](const DdsSystem& s) {
+          return TreeRunClassFor(s, *automaton, 3);
+        },
+        false);
+  }
+}
+
+TEST(GuardSetTest, RandomSystemGraphsIgnoreRuleOrderDuplicatesAndSpacing) {
+  auto schema = GraphZooSchema();
+  auto cls = std::make_shared<AllStructuresClass>(schema);
+  const char* guard_pool[] = {
+      "E(x_old, x_new)",
+      "E(x_new, x_old)",
+      "red(x_new) & E(x_old, x_new)",
+      "!red(x_new) & x_old != x_new",
+      "x_old = x_new & red(x_old)",
+      "E(x_old, x_old)",
+  };
+  for (int seed = 0; seed < 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    DdsSystem system(schema);
+    const int num_states = 3 + static_cast<int>(rng() % 2);
+    for (int q = 0; q < num_states; ++q) {
+      system.AddState("q" + std::to_string(q), q == 0, q == num_states - 1);
+    }
+    system.AddRegister("x");
+    const int num_rules = 3 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < num_rules; ++i) {
+      system.AddRule(static_cast<int>(rng() % num_states),
+                     static_cast<int>(rng() % num_states),
+                     guard_pool[rng() % 6]);
+    }
+    ExpectGuardSetInvariance(
+        system, [&](const DdsSystem&) { return cls; }, true);
+  }
+}
+
+// The benchmark's chain: n states, every rule walking one E edge.
+DdsSystem EdgeChain(int n) {
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x0");
+  int prev = system.AddState("s0", true);
+  for (int i = 1; i < n; ++i) {
+    const int next =
+        system.AddState("s" + std::to_string(i), false, i == n - 1);
+    system.AddRule(prev, next, "E(x0_old, x0_new)");
+    prev = next;
+  }
+  return system;
+}
+
+TEST(GuardSetTest, ChainsOfAnyLengthShareOneGraph) {
+  AllStructuresClass cls(GraphZooSchema());
+  GraphCache cache;
+  SolveOptions options;
+  options.strategy = SolveStrategy::kEager;
+  options.cache = &cache;
+  const DdsSystem chain32 = EdgeChain(32);
+  const DdsSystem chain64 = EdgeChain(64);
+  const SolveResult first = SolveEmptiness(chain32, cls, options);
+  EXPECT_FALSE(first.stats.graph_from_cache);
+  const SolveResult second = SolveEmptiness(chain64, cls, options);
+  EXPECT_TRUE(second.stats.graph_from_cache);
+  EXPECT_EQ(second.stats.members_enumerated, 0u);
+  EXPECT_EQ(second.stats.guard_evaluations, 0u);
+  EXPECT_EQ(second.stats.edges, first.stats.edges);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  ASSERT_TRUE(second.nonempty);
+  ASSERT_TRUE(second.witness_db.has_value());
+  EXPECT_TRUE(
+      ValidateAcceptingRun(chain64, *second.witness_db, *second.witness_run));
+  EXPECT_EQ(second.witness_run->size(), 64u);
+}
+
+TEST(GuardSetTest, LinearAndBranchingQueriesOverOneGuardSetShareOneEntry) {
+  AllStructuresClass cls(GraphZooSchema());
+  GraphCache cache;
+  DdsSystem linear(GraphZooSchema());
+  linear.AddRegister("x");
+  int a = linear.AddState("a", true);
+  int b = linear.AddState("b");
+  int c = linear.AddState("c", false, true);
+  linear.AddRule(a, b, "red(x_new)");
+  linear.AddRule(b, c, "E(x_old, x_new)");
+  linear.AddRule(a, a, "E(x_old, x_new)");
+  SolveOptions options;
+  options.strategy = SolveStrategy::kEager;
+  options.build_witness = false;
+  options.cache = &cache;
+  const SolveResult linear_result = SolveEmptiness(linear, cls, options);
+  EXPECT_TRUE(linear_result.nonempty);
+
+  // The same two guard texts, as branches, in another order and spacing.
+  BranchingSystem branching(GraphZooSchema());
+  branching.AddRegister("x");
+  int start = branching.AddState("start", true);
+  int done = branching.AddState("done", false, true);
+  branching.AddRule(start, {{"E( x_old, x_new )", done},
+                            {"red(x_new)", done},
+                            {"E(x_old,x_new)", start}});
+  const BranchingSolveResult branching_result =
+      SolveBranchingEmptiness(branching, cls, &cache);
+  EXPECT_TRUE(branching_result.stats.graph_from_cache);
+  EXPECT_EQ(branching_result.stats.members_enumerated, 0u);
+  EXPECT_EQ(branching_result.stats.edges, linear_result.stats.edges);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(GraphSpecFor(BorrowBackend(cls), branching, /*keyed=*/true).key,
+            GraphSpecFor(BorrowBackend(cls), linear, /*keyed=*/true).key);
+}
 
 }  // namespace
 }  // namespace amalgam

@@ -508,6 +508,40 @@ TEST(GraphCacheTest, KeyOfAFixedSpecIsPinned) {
             "7:red(v1)");
 }
 
+TEST(GraphCacheTest, GuardSetKeyOfAFixedSpecIsPinned) {
+  // The key a query uses names the sorted distinct guard set: the three
+  // rules above, in any order and spacing, have two guards. A change here
+  // orphans every persisted store entry, so it needs a store format bump.
+  const std::string pinned =
+      "35:all-structures|R2;1:E/2;3:red/1;F0;\x1f"
+      "1\x1f"
+      "9:E(v0, v1)\x1f"
+      "7:red(v1)";
+  AllStructuresClass cls(GraphZooSchema());
+  for (bool reversed : {false, true}) {
+    DdsSystem system(GraphZooSchema());
+    system.AddRegister("x");
+    int a = system.AddState("a", true);
+    int b = system.AddState("b");
+    int c = system.AddState("c", false, true);
+    if (reversed) {
+      system.AddRule(b, c, "red( x_new )");
+      system.AddRule(b, b, "E(x_old,x_new)");
+      system.AddRule(a, b, "E(x_old, x_new)");
+    } else {
+      system.AddRule(a, b, "E(x_old, x_new)");
+      system.AddRule(b, b, "E(x_old, x_new)");
+      system.AddRule(b, c, "red(x_new)");
+    }
+    const GraphSpec spec =
+        GraphSpecFor(BorrowBackend(cls), system, /*keyed=*/true);
+    EXPECT_EQ(spec.key, pinned);
+    EXPECT_EQ(GraphCache::Key(cls, 1, spec.guards), pinned);
+    EXPECT_EQ(spec.slot, reversed ? (std::vector<int>{1, 0, 0})
+                                  : (std::vector<int>{0, 0, 1}));
+  }
+}
+
 TEST(GraphCacheTest, FingerprintsAreInjectionSafe) {
   // Free-text components (letter names, symbol names) are length-prefixed:
   // an alphabet of one letter "a|b" must not serialize like the alphabet

@@ -64,7 +64,7 @@ void ExpectGraphsIdentical(const SubTransitionGraph& serial,
   for (std::uint64_t i = 0; i < serial.num_edges(); ++i) {
     const SubTransition& ss = serial.step(static_cast<int>(i));
     const SubTransition& ps = parallel.step(static_cast<int>(i));
-    EXPECT_EQ(ss.rule, ps.rule);
+    EXPECT_EQ(ss.guard, ps.guard);
     EXPECT_EQ(ss.marks, ps.marks);
     EXPECT_EQ(ss.joint.EncodeContent(), ps.joint.EncodeContent())
         << "witness step " << i << " records a different joint member";

@@ -126,8 +126,11 @@ TEST(StoreTest, PartialGraphsRoundTripWithTheirCursor) {
   // its serialization must carry the cursor and restore bit-identically.
   AllStructuresClass all(GraphZooSchema());
   DdsSystem system = ReachRedSystem();
-  std::vector<FormulaRef> guards = GuardsOf(system);
-  const int k = system.num_registers();
+  // The engine's guard set and key: the sorted distinct guards.
+  const GraphSpec spec =
+      GraphSpecFor(BorrowBackend(all), system, /*keyed=*/true);
+  const std::vector<FormulaRef>& guards = spec.guards;
+  const int k = spec.k;
   GraphCache cache;
   SolveOptions options;
   options.build_witness = false;
@@ -135,7 +138,7 @@ TEST(StoreTest, PartialGraphsRoundTripWithTheirCursor) {
   SolveResult r = SolveEmptiness(system, all, options);
   ASSERT_TRUE(r.nonempty);
 
-  const std::string key = GraphCache::Key(all, k, guards);
+  const std::string& key = spec.key;
   std::shared_ptr<const SubTransitionGraph> partial = cache.Lookup(key);
   ASSERT_NE(partial, nullptr);
   ASSERT_FALSE(partial->complete()) << "nonempty query should early-exit";
@@ -236,9 +239,12 @@ TEST(StoreTest, PartialGraphResumesAcrossProcessesWithFewerMembers) {
 TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
   AllStructuresClass all(GraphZooSchema());
   DdsSystem system = ReachRedSystem();
-  std::vector<FormulaRef> guards = GuardsOf(system);
-  const int k = system.num_registers();
-  const std::string key = GraphCache::Key(all, k, guards);
+  // The engine's guard set and key: the sorted distinct guards.
+  const GraphSpec spec =
+      GraphSpecFor(BorrowBackend(all), system, /*keyed=*/true);
+  const std::vector<FormulaRef>& guards = spec.guards;
+  const int k = spec.k;
+  const std::string& key = spec.key;
 
   // A partial graph from an early-exited query...
   GraphCache cache;
@@ -273,6 +279,129 @@ TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
   SolveStats reloaded_stats;
   reloaded->BuildFull(all, reloaded_stats);
   EXPECT_EQ(SerializeGraph(*reloaded, key), SerializeGraph(cold, key));
+}
+
+// FNV-1a over a whole record, to pin one without embedding its bytes.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(StoreTest, SortedDistinctRuleGuardRecordsStayValidAcrossTheGuardSetKey) {
+  // Keys name the sorted distinct guard set. A system whose rule guards
+  // were already sorted and distinct had a per-rule key equal to that, and
+  // the graph is the same, so its AMGS v1 record keeps serving. The size
+  // and FNV-1a pin the record written when keys and graphs had one slot
+  // per rule.
+  const std::string dir = StoreDir("sorted_distinct_compat");
+  AllStructuresClass all(GraphZooSchema());
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x");
+  int a = system.AddState("a", true);
+  int b = system.AddState("b");
+  int c = system.AddState("c", false, true);
+  system.AddRule(a, b, "E(x_old, x_new)");  // "E(v0, v1)" < "red(v1)"
+  system.AddRule(b, c, "red(x_new)");
+  const GraphSpec spec =
+      GraphSpecFor(BorrowBackend(all), system, /*keyed=*/true);
+  ASSERT_EQ(spec.key, GraphCache::Key(all, 1, GuardsOf(system)));
+
+  SolveOptions eager;
+  eager.build_witness = false;
+  eager.strategy = SolveStrategy::kEager;
+  eager.store_dir = dir;
+  const SolveResult built = SolveEmptiness(system, all, eager);
+  ASSERT_TRUE(built.nonempty);
+  const std::string path = GraphStore(dir).PathFor(spec.key);
+  const std::string bytes = ReadFile(path);
+  EXPECT_EQ(bytes.size(), 470u);
+  EXPECT_EQ(Fnv1a(bytes), 0x0f5fcfae97dff881ull)
+      << "the record differs from the per-rule layout's";
+
+  std::shared_ptr<SubTransitionGraph> restored =
+      DeserializeGraph(bytes, spec.key, all.schema(), spec.guards, spec.k);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(SerializeGraph(*restored, spec.key), bytes);
+  GraphCache fresh;
+  fresh.AttachStore(dir);
+  SolveOptions served_options;
+  served_options.build_witness = false;
+  served_options.cache = &fresh;
+  const SolveResult served = SolveEmptiness(system, all, served_options);
+  EXPECT_TRUE(served.stats.graph_from_cache);
+  EXPECT_EQ(served.stats.members_enumerated, 0u);
+  EXPECT_EQ(served.nonempty, built.nonempty);
+  EXPECT_EQ(ReadFile(path), bytes);
+}
+
+TEST(StoreTest, PerRuleKeysWithDuplicatesOrDisorderAreNeverMatched) {
+  // A record keyed by a per-rule guard list that repeats or misorders a
+  // guard names a graph with a different slot layout. No query asks for
+  // that key any more, and its bytes never load under the guard-set key,
+  // so the query rebuilds instead of misreading the record.
+  AllStructuresClass all(GraphZooSchema());
+  DdsSystem repeated(GraphZooSchema());
+  repeated.AddRegister("x");
+  {
+    int a = repeated.AddState("a", true);
+    int b = repeated.AddState("b");
+    int c = repeated.AddState("c", false, true);
+    repeated.AddRule(a, b, "E(x_old, x_new)");
+    repeated.AddRule(b, b, "E(x_old, x_new)");
+    repeated.AddRule(b, c, "red(x_new)");
+  }
+  DdsSystem disordered(GraphZooSchema());
+  disordered.AddRegister("x");
+  {
+    int a = disordered.AddState("a", true);
+    int b = disordered.AddState("b", false, true);
+    disordered.AddRule(a, b, "red(x_new)");
+    disordered.AddRule(a, a, "E(x_old, x_new)");
+  }
+  for (const DdsSystem* system : {&repeated, &disordered}) {
+    const std::string dir = StoreDir(
+        system == &repeated ? "per_rule_repeated" : "per_rule_disordered");
+    const int k = system->num_registers();
+    const std::vector<FormulaRef> per_rule = GuardsOf(*system);
+    const std::string old_key = GraphCache::Key(all, k, per_rule);
+    const GraphSpec spec =
+        GraphSpecFor(BorrowBackend(all), *system, /*keyed=*/true);
+    EXPECT_NE(spec.key, old_key);
+
+    // The record a one-slot-per-rule build wrote.
+    SubTransitionGraph old_graph(per_rule, k);
+    SolveStats old_stats;
+    old_graph.BuildFull(all, old_stats);
+    const std::string old_bytes = SerializeGraph(old_graph, old_key);
+    ASSERT_TRUE(GraphStore(dir).Save(old_key, old_graph));
+    EXPECT_EQ(DeserializeGraph(old_bytes, spec.key, all.schema(),
+                               spec.guards, k),
+              nullptr);
+
+    GraphCache cache;
+    cache.AttachStore(dir);
+    SolveOptions options;
+    options.build_witness = false;
+    options.strategy = SolveStrategy::kEager;
+    options.cache = &cache;
+    const SolveResult r = SolveEmptiness(*system, all, options);
+    EXPECT_FALSE(r.stats.graph_from_cache);
+    EXPECT_GT(r.stats.members_enumerated, 0u);
+    EXPECT_EQ(cache.store_load_failures(), 0u);
+    EXPECT_EQ(cache.store_writes(), 1u);
+    EXPECT_EQ(ReadFile(GraphStore(dir).PathFor(old_key)), old_bytes)
+        << "the old record is left alone";
+  }
 }
 
 TEST(StoreTest, CorruptOrTruncatedFilesFallBackToAFreshBuild) {

@@ -157,6 +157,45 @@ TEST(TraceEngineTest, ColdSolveRecordsPhaseSpans) {
   EXPECT_EQ(SpansNamed(spans, "witness").size(), 1u);
 }
 
+TEST(TraceEngineTest, BfsSpansCountTheirWorkDeterministically) {
+  // An eager solve of an empty chain BFSes the whole reachable region; its
+  // `bfs` span reports edges scanned and configurations reached, the same
+  // numbers on every run, within the graph's bounds.
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x");
+  int prev = system.AddState("s0", true);
+  for (int i = 1; i < 6; ++i) {
+    const int next = system.AddState("s" + std::to_string(i));
+    system.AddRule(prev, next, i % 2 ? "E(x_old, x_new)" : "red(x_new)");
+    prev = next;
+  }
+  const AllStructuresClass cls(GraphZooSchema());
+  std::vector<std::uint64_t> first;
+  for (int run = 0; run < 2; ++run) {
+    TraceRecorder recorder;
+    SolveOptions options;
+    options.strategy = SolveStrategy::kEager;
+    options.trace = &recorder;
+    const SolveResult result = SolveEmptiness(system, cls, options);
+    ASSERT_FALSE(result.nonempty);
+    const std::vector<TraceSpan> bfs = SpansNamed(recorder.Snapshot(), "bfs");
+    ASSERT_EQ(bfs.size(), 1u);
+    std::vector<std::uint64_t> counts;
+    for (const char* key : {"edges_scanned", "configs_reached"}) {
+      const TraceAnnotation* ann = FindAnnotation(bfs[0], key);
+      ASSERT_NE(ann, nullptr) << key;
+      EXPECT_TRUE(ann->is_number);
+      counts.push_back(std::stoull(ann->value));
+    }
+    EXPECT_GT(counts[0], 0u);
+    EXPECT_LE(counts[0], result.stats.edges * system.num_states());
+    EXPECT_GT(counts[1], 0u);
+    EXPECT_LE(counts[1], result.stats.configs);
+    if (run == 0) first = counts;
+    EXPECT_EQ(counts, first);
+  }
+}
+
 // ---- Service/daemon-level: the acceptance span tree. ----
 
 QueryRequest ReachRedRequest(bool traced = false) {
