@@ -25,6 +25,30 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+// Binds a nonblocking listener on 127.0.0.1:port into *fd (loopback only:
+// neither the protocol nor the scrape carries auth) and returns the bound
+// port — the kernel's choice when port is 0.
+int ListenLoopback(int port, int* fd) {
+  *fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (*fd < 0) throw std::runtime_error(Errno("socket(AF_INET)"));
+  int yes = 1;
+  ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &yes, sizeof(yes));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::bind(*fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    throw std::runtime_error(
+        Errno(("bind(127.0.0.1:" + std::to_string(port) + ")").c_str()));
+  }
+  socklen_t len = sizeof(addr);
+  if (::getsockname(*fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+    throw std::runtime_error(Errno("getsockname"));
+  }
+  if (::listen(*fd, 128) < 0) throw std::runtime_error(Errno("listen(tcp)"));
+  return static_cast<int>(ntohs(addr.sin_port));
+}
+
 }  // namespace
 
 DaemonServer::DaemonServer(QueryService& service, DaemonServerOptions options)
@@ -40,7 +64,8 @@ void DaemonServer::Wake() {
 }
 
 void DaemonServer::Start() {
-  if (options_.uds_path.empty() && options_.tcp_port < 0) {
+  if (options_.uds_path.empty() && options_.tcp_port < 0 &&
+      options_.metrics_tcp_port < 0) {
     throw std::runtime_error("daemon server: no transport configured");
   }
   {
@@ -52,12 +77,15 @@ void DaemonServer::Start() {
   if (epoll_fd_ < 0) throw std::runtime_error(Errno("epoll_create1"));
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) throw std::runtime_error(Errno("eventfd"));
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
-    throw std::runtime_error(Errno("epoll_ctl(wake)"));
-  }
+  const auto watch = [this](int fd, const char* what) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      throw std::runtime_error(Errno(what));
+    }
+  };
+  watch(wake_fd_, "epoll_ctl(wake)");
 
   if (!options_.uds_path.empty()) {
     sockaddr_un addr{};
@@ -78,42 +106,16 @@ void DaemonServer::Start() {
     if (::listen(uds_fd_, 128) < 0) {
       throw std::runtime_error(Errno("listen(uds)"));
     }
-    ev = epoll_event{};
-    ev.events = EPOLLIN;
-    ev.data.fd = uds_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, uds_fd_, &ev) < 0) {
-      throw std::runtime_error(Errno("epoll_ctl(uds)"));
-    }
+    watch(uds_fd_, "epoll_ctl(uds)");
   }
-
   if (options_.tcp_port >= 0) {
-    tcp_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (tcp_fd_ < 0) throw std::runtime_error(Errno("socket(AF_INET)"));
-    int yes = 1;
-    ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &yes, sizeof(yes));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // local clients only
-    addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-    if (::bind(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      throw std::runtime_error(
-          Errno(("bind(127.0.0.1:" + std::to_string(options_.tcp_port) + ")")
-                    .c_str()));
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-      throw std::runtime_error(Errno("getsockname"));
-    }
-    bound_tcp_port_ = static_cast<int>(ntohs(addr.sin_port));
-    if (::listen(tcp_fd_, 128) < 0) {
-      throw std::runtime_error(Errno("listen(tcp)"));
-    }
-    ev = epoll_event{};
-    ev.events = EPOLLIN;
-    ev.data.fd = tcp_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, tcp_fd_, &ev) < 0) {
-      throw std::runtime_error(Errno("epoll_ctl(tcp)"));
-    }
+    bound_tcp_port_ = ListenLoopback(options_.tcp_port, &tcp_fd_);
+    watch(tcp_fd_, "epoll_ctl(tcp)");
+  }
+  if (options_.metrics_tcp_port >= 0) {
+    bound_metrics_port_ = ListenLoopback(options_.metrics_tcp_port,
+                                         &metrics_fd_);
+    watch(metrics_fd_, "epoll_ctl(metrics)");
   }
 
   thread_ = std::thread([this] { Loop(); });
@@ -143,14 +145,16 @@ void DaemonServer::Stop() {
   // pending response into the out buffer; a final best-effort flush gets
   // them onto the wire for clients still reading.
   for (auto& [fd, conn] : conns_) {
-    conn.session.reset();
+    if (conn.session != nullptr) {
+      conn.session.reset();
+      counters_.open.fetch_sub(1, std::memory_order_relaxed);
+    }
     FlushOut(conn);
     {
       std::lock_guard<std::mutex> lock(conn.out->mutex);
       conn.out->closed = true;
     }
     ::close(conn.fd);
-    counters_.open.fetch_sub(1, std::memory_order_relaxed);
   }
   conns_.clear();
   graveyard_.clear();  // joins retired sessions' writers
@@ -170,55 +174,75 @@ void DaemonServer::CloseListeners() {
     ::unlink(options_.uds_path.c_str());
     uds_bound_ = false;
   }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
+  for (int* fd : {&tcp_fd_, &metrics_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+}
+
+void DaemonServer::SetAccepting(bool accepting) {
+  accept_paused_ = !accepting;
+  if (!accepting) {
+    accept_retry_at_ =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  }
+  for (int fd : {uds_fd_, tcp_fd_, metrics_fd_}) {
+    if (fd < 0) continue;
+    epoll_event ev{};
+    ev.events = accepting ? EPOLLIN : 0u;
+    ev.data.fd = fd;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
   }
 }
 
 void DaemonServer::AcceptAll(int listen_fd) {
+  const bool scrape = listen_fd == metrics_fd_;
   for (;;) {
     int fd = ::accept4(listen_fd, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN, or a transient accept error — nothing to do
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      // EAGAIN: the backlog is empty. Anything else (EMFILE, ENFILE,
+      // ENOBUFS, ...) leaves the client queued and the listener readable:
+      // stop polling until a connection closes or the retry tick.
+      if (errno != EAGAIN && errno != EWOULDBLOCK) SetAccepting(false);
+      return;
     }
-    Conn conn;
-    conn.fd = fd;
-    conn.id = ++next_conn_id_;
-    conn.out = std::make_shared<OutBuf>();
-    conn.last_active = std::chrono::steady_clock::now();
-    std::shared_ptr<OutBuf> out = conn.out;
-    const int wake_fd = wake_fd_;
-    // Runs on the session's writer thread: append the line, wake the loop.
-    Session::Emit emit = [out, wake_fd](const std::string& line) {
-      {
-        std::lock_guard<std::mutex> lock(out->mutex);
-        if (out->closed) return;  // connection died; drop the response
-        out->data.append(line);
-        out->data.push_back('\n');
-      }
-      std::uint64_t one = 1;
-      ssize_t ignored = ::write(wake_fd, &one, sizeof(one));
-      (void)ignored;
-    };
-    Session::Options sopts;
-    sopts.id = conn.id;
-    sopts.max_inflight = options_.max_inflight_per_conn;
-    sopts.maintenance = options_.maintenance;
-    conn.session = std::make_unique<Session>(service_, sopts, std::move(emit),
-                                             &counters_);
-    counters_.opened.fetch_add(1, std::memory_order_relaxed);
-    counters_.open.fetch_add(1, std::memory_order_relaxed);
-
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      counters_.open.fetch_sub(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
+    }
+    Conn conn;
+    conn.fd = fd;
+    conn.out = std::make_shared<OutBuf>();
+    conn.last_active = std::chrono::steady_clock::now();
+    if (!scrape) {
+      conn.id = ++next_conn_id_;
+      std::shared_ptr<OutBuf> out = conn.out;
+      const int wake_fd = wake_fd_;
+      // Runs on the session's writer thread: append the line, wake the loop.
+      Session::Emit emit = [out, wake_fd](const std::string& line) {
+        {
+          std::lock_guard<std::mutex> lock(out->mutex);
+          if (out->closed) return;  // connection died; drop the response
+          out->data.append(line);
+          out->data.push_back('\n');
+        }
+        std::uint64_t one = 1;
+        ssize_t ignored = ::write(wake_fd, &one, sizeof(one));
+        (void)ignored;
+      };
+      Session::Options sopts;
+      sopts.id = conn.id;
+      sopts.max_inflight = options_.max_inflight_per_conn;
+      sopts.maintenance = options_.maintenance;
+      conn.session = std::make_unique<Session>(service_, sopts,
+                                               std::move(emit), &counters_);
+      counters_.opened.fetch_add(1, std::memory_order_relaxed);
+      counters_.open.fetch_add(1, std::memory_order_relaxed);
     }
     conns_.emplace(fd, std::move(conn));
   }
@@ -250,6 +274,13 @@ void DaemonServer::HandleReadable(Conn& conn) {
     std::string line = conn.in_buf.substr(start, nl - start);
     start = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (conn.session == nullptr) {  // a scrape: its head ends at a blank line
+      if (line.empty()) {
+        AnswerScrape(conn);
+        break;
+      }
+      continue;
+    }
     if (line.empty()) continue;
     if (line.size() > options_.max_line_bytes) {
       conn.session->HandleOversizedLine();
@@ -265,19 +296,38 @@ void DaemonServer::HandleReadable(Conn& conn) {
   }
   conn.in_buf.erase(0, start);
   if (conn.input_open && conn.in_buf.size() > options_.max_line_bytes) {
-    conn.session->HandleOversizedLine();  // unbounded line, no newline yet
+    // An unbounded line, no newline yet (a scrape just closes).
+    if (conn.session != nullptr) conn.session->HandleOversizedLine();
     conn.in_buf.clear();
     conn.input_open = false;
   }
   UpdateEpoll(conn);
 }
 
+void DaemonServer::AnswerScrape(Conn& conn) {
+  const std::string body =
+      RenderMetrics(service_, &counters_, options_.maintenance);
+  {
+    std::lock_guard<std::mutex> lock(conn.out->mutex);
+    conn.out->data =
+        "HTTP/1.0 200 OK\r\n"
+        "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+        "Content-Length: " +
+        std::to_string(body.size()) +
+        "\r\n"
+        "Connection: close\r\n"
+        "\r\n" +
+        body;
+  }
+  conn.input_open = false;  // closes once the response is flushed
+}
+
 bool DaemonServer::FlushOut(Conn& conn) {
   std::lock_guard<std::mutex> lock(conn.out->mutex);
   OutBuf& out = *conn.out;
   while (out.offset < out.data.size()) {
-    ssize_t n = ::write(conn.fd, out.data.data() + out.offset,
-                        out.data.size() - out.offset);
+    ssize_t n = ::send(conn.fd, out.data.data() + out.offset,
+                       out.data.size() - out.offset, MSG_NOSIGNAL);
     if (n > 0) {
       out.offset += static_cast<std::size_t>(n);
       conn.last_active = std::chrono::steady_clock::now();
@@ -314,11 +364,13 @@ void DaemonServer::CloseConn(int fd) {
   }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  counters_.open.fetch_sub(1, std::memory_order_relaxed);
-  if (conn.session != nullptr && !conn.session->FlushedAll()) {
+  if (conn.session != nullptr) {
+    counters_.open.fetch_sub(1, std::memory_order_relaxed);
     // Destroying it now would block the loop on its in-flight queries;
     // park it until the writer drains (emits go nowhere — out is closed).
-    graveyard_.push_back(std::move(conn.session));
+    if (!conn.session->FlushedAll()) {
+      graveyard_.push_back(std::move(conn.session));
+    }
   }
   conns_.erase(it);
 }
@@ -349,9 +401,11 @@ void DaemonServer::Loop() {
   while (!stop_.load(std::memory_order_acquire)) {
     // Poll while clients exist: responses become flushable (and sessions
     // graveyard-collectable) a moment *after* the emit that woke us, and
-    // idle reaping needs a clock.
-    const int timeout_ms =
-        (conns_.empty() && graveyard_.empty() && !draining_) ? -1 : 50;
+    // idle reaping and the accept retry need a clock.
+    const int timeout_ms = (conns_.empty() && graveyard_.empty() &&
+                            !draining_ && !accept_paused_)
+                               ? -1
+                               : 50;
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (n < 0 && errno != EINTR) break;
 
@@ -363,7 +417,7 @@ void DaemonServer::Loop() {
         (void)ignored;
         continue;
       }
-      if (fd == uds_fd_ || fd == tcp_fd_) {
+      if (fd == uds_fd_ || fd == tcp_fd_ || fd == metrics_fd_) {
         if (!draining_) AcceptAll(fd);
         continue;
       }
@@ -408,6 +462,9 @@ void DaemonServer::Loop() {
       }
     }
     for (int fd : to_close) CloseConn(fd);
+    if (accept_paused_ && (!to_close.empty() || now >= accept_retry_at_)) {
+      SetAccepting(true);  // an fd may be free again
+    }
 
     graveyard_.erase(
         std::remove_if(graveyard_.begin(), graveyard_.end(),

@@ -25,8 +25,10 @@
 // RenderPrometheus() emits the text exposition format (version 0.0.4):
 // `# HELP`/`# TYPE` per metric, cumulative `_bucket{le="..."}` series
 // plus `_sum`/`_count` per histogram, metrics sorted by name. Both the
-// {"op":"metrics"} admin op and the --metrics-tcp endpoint serve exactly
-// this text, so the two scrape surfaces can never disagree.
+// {"op":"metrics"} admin op and amalgamd's --metrics-tcp listener (one
+// more listener on the daemon's event loop, net/server.h) serve exactly
+// this text through one function, RenderMetrics (service/session.h), so
+// the two scrape surfaces can never disagree.
 #ifndef AMALGAM_OBS_METRICS_H_
 #define AMALGAM_OBS_METRICS_H_
 

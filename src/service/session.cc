@@ -9,6 +9,32 @@
 
 namespace amalgam {
 
+namespace {
+
+// What every scrape and stats answer reports beyond the service's own
+// stats; the per-connection fields stay zero.
+ServiceStats DaemonStats(QueryService& service,
+                         const ConnectionCounters* counters,
+                         const MaintenanceLoop* maintenance) {
+  ServiceStats stats = service.Stats();
+  if (counters != nullptr) {
+    stats.connections_open = counters->open.load(std::memory_order_relaxed);
+    stats.connections_opened =
+        counters->opened.load(std::memory_order_relaxed);
+    stats.overload_rejections =
+        counters->overload_rejections.load(std::memory_order_relaxed);
+  }
+  if (maintenance != nullptr) {
+    const MaintenanceStats mstats = maintenance->GetStats();
+    stats.maintenance_passes = mstats.passes;
+    stats.partials_completed = mstats.partials_completed;
+    stats.prewarm_loads = mstats.prewarm_loads;
+  }
+  return stats;
+}
+
+}  // namespace
+
 Session::Session(QueryService& service, Options options, Emit emit,
                  ConnectionCounters* counters)
     : service_(service),
@@ -63,24 +89,19 @@ void Session::PushRendered(std::string line) {
   Push(Item{[line = std::move(line)] { return line; }, /*is_query=*/false});
 }
 
+std::string RenderMetrics(QueryService& service,
+                          const ConnectionCounters* counters,
+                          const MaintenanceLoop* maintenance) {
+  ExportServiceStats(DaemonStats(service, counters, maintenance),
+                     service.metrics());
+  return service.metrics().RenderPrometheus();
+}
+
 ServiceStats Session::SnapshotStats() const {
-  ServiceStats stats = service_.Stats();
+  ServiceStats stats = DaemonStats(service_, counters_, options_.maintenance);
   stats.conn_id = options_.id;
   stats.conn_requests = requests();
   stats.conn_rejected_overload = rejected_overload();
-  if (counters_ != nullptr) {
-    stats.connections_open = counters_->open.load(std::memory_order_relaxed);
-    stats.connections_opened =
-        counters_->opened.load(std::memory_order_relaxed);
-    stats.overload_rejections =
-        counters_->overload_rejections.load(std::memory_order_relaxed);
-  }
-  if (options_.maintenance != nullptr) {
-    const MaintenanceStats maintenance = options_.maintenance->GetStats();
-    stats.maintenance_passes = maintenance.passes;
-    stats.partials_completed = maintenance.partials_completed;
-    stats.prewarm_loads = maintenance.prewarm_loads;
-  }
   return stats;
 }
 
@@ -153,9 +174,9 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
       // (Prometheus hits it on a schedule), and the FIFO already puts it
       // after every earlier response on this connection.
       Push(Item{[this, request = std::move(request)] {
-        ExportServiceStats(SnapshotStats(), service_.metrics());
-        return FormatMetricsResponse(request,
-                                     service_.metrics().RenderPrometheus());
+        return FormatMetricsResponse(
+            request,
+            RenderMetrics(service_, counters_, options_.maintenance));
       }});
       return LineOutcome::kContinue;
     case ProtocolRequest::Op::kRecent:

@@ -53,6 +53,16 @@ struct ConnectionCounters {
   std::atomic<std::uint64_t> overload_rejections{0};  // across all clients
 };
 
+/// One Prometheus scrape: the daemon-wide stats — service.Stats() plus the
+/// transport's connection counters and the maintenance loop's (either may
+/// be null), per-connection fields zero — exported into the service's
+/// metrics registry, then the registry rendered. A cheap snapshot that
+/// never drains or waits on a query; {"op":"metrics"} and the
+/// --metrics-tcp listener (net/server.h) both serve exactly this text.
+std::string RenderMetrics(QueryService& service,
+                          const ConnectionCounters* counters,
+                          const MaintenanceLoop* maintenance);
+
 class Session {
  public:
   struct Options {
@@ -139,8 +149,8 @@ class Session {
 
   void Push(Item item);
   void PushRendered(std::string line);
-  /// service_.Stats() plus this session's connection fields and the
-  /// daemon-wide counters.
+  /// The daemon-wide stats RenderMetrics exports, plus this session's
+  /// connection fields.
   ServiceStats SnapshotStats() const;
   void WriterLoop();
 

@@ -3,20 +3,29 @@
 // trip) driven by real client sockets — many concurrent clients with
 // pipelined mixed requests, per-connection response ordering, verdict
 // parity with direct QueryService calls, overload rejection under a tiny
-// inflight cap, idle-timeout reaping, resume coalescing over sockets, and
-// graceful protocol shutdown. Runs under the TSan CI job.
+// inflight cap, idle-timeout reaping, resume coalescing over sockets,
+// graceful protocol shutdown, the --metrics-tcp scrape served by the same
+// loop (silent scrapers block nothing, scrapes are not connections),
+// clients hanging up on pending responses, and an accept that runs out of
+// fds without spinning the loop. Runs under the
+// TSan CI job, so the loop's scrape render races the workers' counter
+// bumps there.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,16 +54,25 @@ std::string SocketPath(const std::string& name) {
 class Client {
  public:
   static Client ConnectUds(const std::string& path) {
+    Client client = UnconnectedUds();
+    client.Connect(path);
+    return client;
+  }
+
+  /// A Unix-domain socket whose fd exists before its connect.
+  static Client UnconnectedUds() {
     Client client;
     client.fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    return client;
+  }
+
+  void Connect(const std::string& path) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    EXPECT_EQ(
-        ::connect(client.fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-        0)
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0)
         << std::strerror(errno);
-    return client;
   }
 
   static Client ConnectTcp(int port) {
@@ -127,6 +145,27 @@ class Client {
     return ::recv(fd_, &byte, 1, 0) == 0;
   }
 
+  /// Reads until the daemon closes the connection. False after
+  /// `timeout_ms` without EOF.
+  bool ReadToEof(std::string* out, int timeout_ms) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    *out = std::move(buf_);
+    buf_.clear();
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return false;
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) return false;
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n == 0) return true;
+      if (n < 0) return false;
+      out->append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
   int fd() const { return fd_; }
 
  private:
@@ -153,6 +192,41 @@ double FieldNumber(const JsonValue& value, const char* name) {
 std::string FieldString(const JsonValue& value, const char* name) {
   const JsonValue* field = value.Get(name);
   return field == nullptr ? "" : field->string;
+}
+
+constexpr const char* kScrapeRequest =
+    "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
+
+// One HTTP scrape of the daemon's metrics listener: the whole response,
+// or "" when none arrived within the deadline.
+std::string Scrape(int port, int timeout_ms = 5000) {
+  Client client = Client::ConnectTcp(port);
+  client.Send(kScrapeRequest);
+  std::string response;
+  return client.ReadToEof(&response, timeout_ms) ? response : "";
+}
+
+// The body of an HTTP response ("" when there is no head/body split).
+std::string HttpBody(const std::string& response) {
+  const std::size_t split = response.find("\r\n\r\n");
+  return split == std::string::npos ? "" : response.substr(split + 4);
+}
+
+// The metric names of a Prometheus text exposition's `# HELP` lines.
+std::set<std::string> HelpNames(const std::string& exposition) {
+  std::set<std::string> names;
+  std::size_t pos = 0;
+  while ((pos = exposition.find("# HELP ", pos)) != std::string::npos) {
+    pos += 7;
+    names.insert(exposition.substr(pos, exposition.find(' ', pos) - pos));
+  }
+  return names;
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 constexpr const char* kReachRedLine =
@@ -447,6 +521,246 @@ TEST(DaemonNetTest, OversizedLinesGetAnErrorNotABufferBloat) {
   EXPECT_EQ(FieldString(response, "error_code"), "line_too_long") << line;
   EXPECT_TRUE(client.WaitForEof(5000)) << "the stream is mid-garbage; the "
                                           "daemon should close it";
+
+  server.Stop();
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, MetricsScrapeRoundTripOverARealSocket) {
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.metrics_tcp_port = 0;  // the scrape listener alone is a transport
+  DaemonServer server(service, nopts);
+  server.Start();
+  ASSERT_GT(server.metrics_tcp_port(), 0);
+  EXPECT_EQ(server.tcp_port(), -1);
+
+  const std::string response = Scrape(server.metrics_tcp_port());
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << response;
+  EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
+            std::string::npos)
+      << response;
+  // Body framing: the head ends at the blank line and Content-Length
+  // counts exactly the exposition after it.
+  const std::string body = HttpBody(response);
+  ASSERT_EQ(body.rfind("# HELP ", 0), 0u) << response;
+  EXPECT_NE(response.find("Content-Length: " + std::to_string(body.size()) +
+                          "\r\n"),
+            std::string::npos)
+      << response;
+  EXPECT_NE(body.find("\namalgam_queries 0\n"), std::string::npos) << body;
+  EXPECT_EQ(body.back(), '\n');
+  server.Stop();
+  server.Stop();  // idempotent
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, SilentScraperBlocksNeitherScrapesNorShutdown) {
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.tcp_port = 0;
+  nopts.metrics_tcp_port = 0;
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  // Connects to the metrics port and never sends a byte.
+  Client silent = Client::ConnectTcp(server.metrics_tcp_port());
+  const std::string second = Scrape(server.metrics_tcp_port());
+  EXPECT_EQ(second.rfind("HTTP/1.0 200 OK\r\n", 0), 0u)
+      << "a silent scraper must not hold up the next scrape";
+
+  Client client = Client::ConnectTcp(server.tcp_port());
+  client.SendLine(R"({"id":1,"op":"shutdown"})");
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(FieldString(MustParse(line), "op"), "shutdown") << line;
+  const auto t0 = std::chrono::steady_clock::now();
+  server.WaitUntilStopped();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+      << "the shutdown waited on the silent scraper";
+  EXPECT_TRUE(silent.WaitForEof(5000)) << "Stop() must close the scraper";
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, SilentScraperDoesNotBlockStop) {
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.metrics_tcp_port = 0;
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  Client silent = Client::ConnectTcp(server.metrics_tcp_port());
+  silent.Send("GET /metrics HTTP/1.1\r\n");  // a head that never ends
+  ASSERT_EQ(Scrape(server.metrics_tcp_port()).rfind("HTTP/1.0 200", 0), 0u);
+  const auto t0 = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  EXPECT_TRUE(silent.WaitForEof(5000));
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, ScrapesAreNotConnections) {
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.uds_path = SocketPath("scrape_counts");
+  nopts.metrics_tcp_port = 0;
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  Client client = Client::ConnectUds(nopts.uds_path);
+  client.SendLine(WithId(kReachRedLine, "1"));
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  Client silent = Client::ConnectTcp(server.metrics_tcp_port());
+  for (int i = 0; i < 3; ++i) {
+    const std::string body = HttpBody(Scrape(server.metrics_tcp_port()));
+    EXPECT_NE(body.find("\namalgam_connections_opened 1\n"),
+              std::string::npos)
+        << body;
+    EXPECT_NE(body.find("\namalgam_connections_open 1\n"), std::string::npos)
+        << body;
+  }
+  EXPECT_EQ(server.counters().opened.load(), 1u);
+  EXPECT_EQ(server.counters().open.load(), 1u);
+
+  client.SendLine(R"({"id":2,"op":"stats"})");
+  ASSERT_TRUE(client.ReadLine(&line));
+  const JsonValue stats = MustParse(line);
+  EXPECT_EQ(FieldNumber(stats, "connections_opened"), 1) << line;
+  EXPECT_EQ(FieldNumber(stats, "connections_open"), 1) << line;
+
+  server.Stop();
+  EXPECT_EQ(server.counters().open.load(), 0u);
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, HttpScrapeAndMetricsOpNameTheSameMetrics) {
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.uds_path = SocketPath("scrape_names");
+  nopts.metrics_tcp_port = 0;
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  Client client = Client::ConnectUds(nopts.uds_path);
+  client.SendLine(WithId(kReachRedLine, "1"));
+  client.SendLine(R"({"id":2,"op":"metrics"})");
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  ASSERT_TRUE(client.ReadLine(&line));
+  const std::set<std::string> op_names =
+      HelpNames(FieldString(MustParse(line), "body"));
+  const std::set<std::string> http_names =
+      HelpNames(HttpBody(Scrape(server.metrics_tcp_port())));
+  EXPECT_TRUE(op_names.count("amalgam_queries")) << line;
+  EXPECT_TRUE(op_names.count("amalgam_query_latency_ms")) << line;
+  EXPECT_EQ(op_names, http_names);
+
+  server.Stop();
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, ClientsClosingBeforeTheirResponsesDoNotKillTheDaemon) {
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.tcp_port = 0;
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  // Each client pipelines requests and hangs up without reading: TCP
+  // resets the connection, so the loop's next write to it fails with
+  // EPIPE, which must close that connection, not raise SIGPIPE in the
+  // process.
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += "{\"op\":\"recent\"}\n";
+  for (int c = 0; c < 20; ++c) {
+    Client client = Client::ConnectTcp(server.tcp_port());
+    client.Send(burst);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Client fresh = Client::ConnectTcp(server.tcp_port());
+  fresh.SendLine(WithId(kReachRedLine, "1"));
+  std::string line;
+  ASSERT_TRUE(fresh.ReadLine(&line));
+  EXPECT_TRUE(FieldBool(MustParse(line), "ok")) << line;
+
+  server.Stop();
+  service.Shutdown();
+}
+
+// Restores the soft RLIMIT_NOFILE on scope exit, pass or fail.
+class FdLimitGuard {
+ public:
+  FdLimitGuard() { ::getrlimit(RLIMIT_NOFILE, &saved_); }
+  ~FdLimitGuard() { Restore(); }
+  void Lower(rlim_t soft) {
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0) << std::strerror(errno);
+  }
+  void Restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+TEST(DaemonNetTest, AcceptOutOfFdsIdlesAndServesTheBacklogLater) {
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.uds_path = SocketPath("emfile");
+  nopts.metrics_tcp_port = 0;
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  // The clients' fds exist before the limit drops; connecting needs none.
+  constexpr int kClients = 24;
+  std::vector<Client> clients;
+  for (int i = 0; i < kClients; ++i) clients.push_back(Client::UnconnectedUds());
+  int max_fd = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    max_fd = std::max(max_fd, std::stoi(entry.path().filename().string()));
+  }
+  FdLimitGuard limit;
+  limit.Lower(static_cast<rlim_t>(max_fd) + 3);  // room for two accepts
+  for (int i = 0; i < kClients; ++i) {
+    clients[i].Connect(nopts.uds_path);
+    clients[i].SendLine(WithId(kReachRedLine, std::to_string(i)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_LT(server.counters().opened.load(),
+            static_cast<std::uint64_t>(kClients))
+      << "the lowered limit must leave clients in the backlog";
+
+  // The listener stays readable while accept fails; the loop must not spin.
+  const double cpu0 = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double cpu = ProcessCpuSeconds() - cpu0;
+  EXPECT_LT(cpu, 0.3) << "the event loop spun on an unacceptable backlog";
+
+  limit.Restore();
+  std::string line;
+  for (int i = 0; i < kClients; ++i) {
+    ASSERT_TRUE(clients[i].ReadLine(&line, 10000)) << "client " << i;
+    EXPECT_EQ(FieldNumber(MustParse(line), "id"), i) << line;
+  }
+  EXPECT_EQ(server.counters().opened.load(),
+            static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(Scrape(server.metrics_tcp_port()).rfind("HTTP/1.0 200", 0), 0u);
 
   server.Stop();
   service.Shutdown();

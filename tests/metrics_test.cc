@@ -3,17 +3,12 @@
 // text renderer, ExportServiceStats completeness (every ServiceStats
 // field reaches the registry — generated from the same X-macro as the
 // struct, so the check cannot rot), the service's histogram-backed
-// latency quantiles, the {"op":"metrics"}/{"op":"recent"} admin ops, and
-// a real-socket round trip against the --metrics-tcp HTTP endpoint.
+// latency quantiles, and the {"op":"metrics"}/{"op":"recent"} admin ops.
+// The --metrics-tcp HTTP scrape is tested over a real socket in
+// daemon_net_test.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,7 +18,6 @@
 #include <vector>
 
 #include "fraisse/relational.h"
-#include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/json.h"
@@ -239,42 +233,6 @@ TEST(MetricsSessionTest, MetricsOpEmitsTheFullExposition) {
   EXPECT_FALSE(entry.GetBool("traced"));
   EXPECT_EQ(entry.Get("spans"), nullptr)
       << "an untraced entry carries no span rollup";
-}
-
-TEST(MetricsHttpTest, ScrapeRoundTripOverARealSocket) {
-  MetricsHttpServer server(
-      [] { return std::string("# TYPE amalgam_up gauge\namalgam_up 1\n"); });
-  ASSERT_EQ(server.Start(0), "");
-  ASSERT_GT(server.port(), 0);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string request =
-      "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) response.append(buf, n);
-  ::close(fd);
-
-  EXPECT_NE(response.find("HTTP/1.0 200 OK\r\n"), std::string::npos)
-      << response;
-  EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
-            std::string::npos)
-      << response;
-  EXPECT_NE(response.find("\r\n\r\n# TYPE amalgam_up gauge\namalgam_up 1\n"),
-            std::string::npos)
-      << response;
-  server.Stop();
-  server.Stop();  // idempotent
 }
 
 }  // namespace

@@ -26,8 +26,9 @@
 // Observability (docs/OBSERVABILITY.md): every query accepts
 // `"trace":true` and returns its span tree in-band; the process-global
 // metrics registry is scraped via {"op":"metrics"} on any transport, or
-// over plain HTTP with --metrics-tcp PORT (a loopback Prometheus
-// endpoint that works alongside any transport, stdio included).
+// over plain HTTP with --metrics-tcp PORT: one more loopback listener on
+// the same event loop, which in stdio mode runs just for it. A scraper
+// that connects and sends nothing blocks no other scrape and no shutdown.
 //
 //   printf '%s\n' \
 //     '{"id":1,"kind":"system","class":"all","system":"reach_red"}' \
@@ -43,13 +44,10 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "net/server.h"
-#include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "service/maintenance.h"
-#include "service/protocol.h"
 #include "service/service.h"
 #include "service/session.h"
 
@@ -114,7 +112,6 @@ struct Cli {
   bool prewarm = false;
   bool stdio = false;
   bool help = false;
-  int metrics_tcp_port = -1;  // -1 = no metrics endpoint
   std::string error;  // non-empty: reject with this message
 };
 
@@ -171,7 +168,7 @@ Cli ParseArgs(int argc, char** argv) {
         if (n > 65535) {
           cli.error = "--metrics-tcp expects a port in [0, 65535], got " + value;
         } else {
-          cli.metrics_tcp_port = static_cast<int>(n);
+          cli.net.metrics_tcp_port = static_cast<int>(n);
         }
       }
     } else if (flag == "--max-inflight-per-conn") {
@@ -226,115 +223,61 @@ Cli ParseArgs(int argc, char** argv) {
   return cli;
 }
 
-// The scrape-time stats snapshot: what Session::SnapshotStats assembles
-// for a stats op, minus the per-connection fields (a scrape belongs to no
-// connection).
-amalgam::ServiceStats ScrapeStats(amalgam::QueryService& service,
-                                  const amalgam::ConnectionCounters* counters,
-                                  amalgam::MaintenanceLoop* maintenance) {
-  amalgam::ServiceStats stats = service.Stats();
-  if (counters != nullptr) {
-    stats.connections_open = counters->open.load(std::memory_order_relaxed);
-    stats.connections_opened =
-        counters->opened.load(std::memory_order_relaxed);
-    stats.overload_rejections =
-        counters->overload_rejections.load(std::memory_order_relaxed);
-  }
-  if (maintenance != nullptr) {
-    const amalgam::MaintenanceStats mstats = maintenance->GetStats();
-    stats.maintenance_passes = mstats.passes;
-    stats.partials_completed = mstats.partials_completed;
-    stats.prewarm_loads = mstats.prewarm_loads;
-  }
-  return stats;
-}
-
-// Starts the --metrics-tcp endpoint when asked for. Returns false (after
-// printing the error) when the bind failed — the daemon refuses to start
-// half-observable rather than silently dropping the scrape surface.
-bool StartMetricsEndpoint(amalgam::MetricsHttpServer& server, int port) {
-  if (port < 0) return true;
-  const std::string error = server.Start(port);
-  if (!error.empty()) {
-    std::fprintf(stderr, "amalgamd: --metrics-tcp: %s\n", error.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "amalgamd: metrics on http://127.0.0.1:%d/metrics\n",
-               server.port());
-  return true;
-}
-
-int RunStdio(amalgam::QueryService& service, const Cli& cli,
-             amalgam::MaintenanceLoop* maintenance) {
-  amalgam::ConnectionCounters counters;
-  counters.opened.store(1);
-  counters.open.store(1);
-  amalgam::MetricsHttpServer metrics_server(
-      [&service, &counters, maintenance] {
-        amalgam::ExportServiceStats(
-            ScrapeStats(service, &counters, maintenance), service.metrics());
-        return service.metrics().RenderPrometheus();
-      });
-  if (!StartMetricsEndpoint(metrics_server, cli.metrics_tcp_port)) return 1;
-  {
-    amalgam::Session::Options sopts;
-    sopts.id = 1;
-    sopts.maintenance = maintenance;
-    amalgam::Session session(
-        service, sopts,
-        [](const std::string& line) {
-          std::printf("%s\n", line.c_str());
-          std::fflush(stdout);
-        },
-        &counters);
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (line.empty()) continue;
-      if (session.HandleLine(line) == amalgam::Session::LineOutcome::kShutdown) {
-        break;
-      }
-    }
-    session.Flush();  // EOF/shutdown: every accepted line gets its response
-  }  // joins the session writer
-  metrics_server.Stop();  // before counters/maintenance go away
-  if (maintenance != nullptr) maintenance->Stop();
-  service.Shutdown();
-  return 0;
-}
-
-int RunServer(amalgam::QueryService& service, const Cli& cli,
-              amalgam::MaintenanceLoop* maintenance) {
-  amalgam::DaemonServerOptions net = cli.net;
-  net.maintenance = maintenance;
-  amalgam::DaemonServer server(service, net);
+// Binds the server's listeners, starts its loop and prints where it
+// listens. Returns false (after printing the error) when a bind failed —
+// the daemon refuses to start half-reachable or half-observable.
+bool StartServer(amalgam::DaemonServer& server,
+                 const amalgam::DaemonServerOptions& net) {
   try {
     server.Start();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "amalgamd: %s\n", e.what());
-    return 1;
+    return false;
   }
-  amalgam::MetricsHttpServer metrics_server(
-      [&service, &server, maintenance] {
-        amalgam::ExportServiceStats(
-            ScrapeStats(service, &server.counters(), maintenance),
-            service.metrics());
-        return service.metrics().RenderPrometheus();
-      });
-  if (!StartMetricsEndpoint(metrics_server, cli.metrics_tcp_port)) return 1;
-  if (!cli.net.uds_path.empty()) {
+  if (!net.uds_path.empty()) {
     std::fprintf(stderr, "amalgamd: listening on unix:%s\n",
-                 cli.net.uds_path.c_str());
+                 net.uds_path.c_str());
   }
   if (server.tcp_port() >= 0) {
     std::fprintf(stderr, "amalgamd: listening on tcp:127.0.0.1:%d\n",
                  server.tcp_port());
   }
-  server.WaitUntilStopped();  // until a client's {"op":"shutdown"}
-  metrics_server.Stop();      // before the server (and its counters) stops
-  server.Stop();              // flushes sessions before the pool goes away
-  if (maintenance != nullptr) maintenance->Stop();
-  service.Shutdown();
-  return 0;
+  if (server.metrics_tcp_port() >= 0) {
+    std::fprintf(stderr, "amalgamd: metrics on http://127.0.0.1:%d/metrics\n",
+                 server.metrics_tcp_port());
+  }
+  return true;
+}
+
+// The stdio transport: one Session on stdin/stdout, counted as the
+// server's one connection. The server runs only for --metrics-tcp.
+// Returns at EOF or {"op":"shutdown"} once every accepted line is
+// answered; false when the metrics listener could not start.
+bool ServeStdio(amalgam::QueryService& service, amalgam::DaemonServer& server,
+                const amalgam::DaemonServerOptions& net) {
+  amalgam::ConnectionCounters& counters = server.counters();
+  counters.opened.store(1);
+  counters.open.store(1);
+  if (net.metrics_tcp_port >= 0 && !StartServer(server, net)) return false;
+  amalgam::Session::Options sopts;
+  sopts.id = 1;
+  sopts.maintenance = net.maintenance;
+  amalgam::Session session(
+      service, sopts,
+      [](const std::string& line) {
+        std::printf("%s\n", line.c_str());
+        std::fflush(stdout);
+      },
+      &counters);
+  std::string line;
+  while (std::getline(std::cin, line)) {
+    if (line.empty()) continue;
+    if (session.HandleLine(line) == amalgam::Session::LineOutcome::kShutdown) {
+      break;
+    }
+  }
+  session.Flush();  // EOF/shutdown: every accepted line gets its response
+  return true;
 }
 
 }  // namespace
@@ -374,6 +317,17 @@ int main(int argc, char** argv) {
     }
     maintenance->Start();
   }
-  return cli.stdio ? RunStdio(service, cli, maintenance.get())
-                   : RunServer(service, cli, maintenance.get());
+  amalgam::DaemonServerOptions net = cli.net;
+  net.maintenance = maintenance.get();
+  amalgam::DaemonServer server(service, net);
+  if (cli.stdio) {
+    if (!ServeStdio(service, server, net)) return 1;
+  } else {
+    if (!StartServer(server, net)) return 1;
+    server.WaitUntilStopped();  // until a client's {"op":"shutdown"}
+  }
+  server.Stop();  // flushes sessions before the pool goes away
+  if (maintenance != nullptr) maintenance->Stop();
+  service.Shutdown();
+  return 0;
 }
