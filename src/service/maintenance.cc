@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,29 @@
 #include "solver/store.h"
 
 namespace amalgam {
+
+namespace {
+
+// A logged query line as maintenance replays it: eager, no witness and
+// untraced whatever the client asked, so a replay builds the whole graph
+// and never records into a trace. Null for a line that is not a valid
+// query.
+std::shared_ptr<const PreparedQuery> PrepareLoggedLine(
+    const std::string& line) {
+  ProtocolRequest parsed = ParseRequestLine(line);
+  if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
+    return nullptr;
+  }
+  parsed.query.strategy = SolveStrategy::kEager;
+  parsed.query.build_witness = false;
+  parsed.query.trace.reset();
+  std::shared_ptr<const PreparedQuery> prepared =
+      QueryService::Prepare(std::move(parsed.query));
+  if (!prepared->setup_error.empty()) return nullptr;
+  return prepared;
+}
+
+}  // namespace
 
 MaintenanceLoop::MaintenanceLoop(QueryService& service,
                                  MaintenanceOptions options)
@@ -73,45 +95,27 @@ void MaintenanceLoop::ThreadLoop() {
   }
 }
 
+std::vector<std::string> MaintenanceLoop::AccessLines() const {
+  std::lock_guard<std::mutex> lock(access_mutex_);
+  return std::vector<std::string>(access_lines_.begin(), access_lines_.end());
+}
+
 MaintenancePassResult MaintenanceLoop::RunOnce() {
   std::lock_guard<std::mutex> pass_lock(pass_mutex_);
   MaintenancePassResult result;
   FlushAccessLog();
   const std::shared_ptr<const GraphStore> store = service_.cache().store();
 
-  // Complete partials: every remembered recipe whose graph stopped short
-  // of complete, resumed through the ordinary submit path (eager, no
-  // witness) so it occupies the key's resume flight — a live query either
-  // joins this build or this build joins it, never a duplicate sweep.
-  //
-  // The in-memory recipe registry is empty on a fresh daemon, so the
-  // persisted access log doubles as a recipe source: each logged query
-  // line replays into a (key, request) pair. Registry recipes come first
-  // (they are fresher); the completeness re-check per key makes the two
-  // sources a natural dedupe.
-  std::vector<std::pair<std::string, QueryRequest>> recipes =
-      service_.SnapshotRecipes();
-  {
-    std::unordered_set<std::string> known;
-    known.reserve(recipes.size());
-    for (const auto& [key, recipe] : recipes) known.insert(key);
-    std::vector<std::string> lines;
-    {
-      std::lock_guard<std::mutex> lock(access_mutex_);
-      lines.assign(access_lines_.begin(), access_lines_.end());
-    }
-    for (const std::string& line : lines) {
-      const ProtocolRequest parsed = ParseRequestLine(line);
-      if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
-        continue;
-      }
-      const std::string key = service_.GraphKeyFor(parsed.query);
-      if (key.empty() || !known.insert(key).second) continue;
-      recipes.emplace_back(key, parsed.query);
-    }
-  }
-  for (auto& [key, recipe] : recipes) {
+  // Complete partials: every logged line whose graph stopped short of
+  // complete, resumed through the ordinary submit path so it occupies the
+  // key's resume flight — a live query either joins this build or this
+  // build joins it, never a duplicate sweep. A completed key reads
+  // complete to every later line that names it, which dedupes the pass.
+  for (const std::string& line : AccessLines()) {
     if (service_.Pending() > 0) break;  // live traffic: the pool is not idle
+    const std::shared_ptr<const PreparedQuery> recipe = PrepareLoggedLine(line);
+    if (recipe == nullptr) continue;
+    const std::string& key = recipe->spec.key;
     const std::shared_ptr<const SubTransitionGraph> cached =
         service_.cache().Peek(key);
     if (cached != nullptr && cached->complete()) continue;
@@ -124,11 +128,8 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
         continue;
       }
     }
-    QueryRequest request = recipe;
-    request.strategy = SolveStrategy::kEager;
-    request.build_witness = false;
     try {
-      const QueryResult completed = service_.Submit(std::move(request)).get();
+      const QueryResult completed = service_.Submit(recipe, nullptr).get();
       if (completed.ok) ++result.partials_completed;
     } catch (const std::exception&) {
       break;  // service shutting down underneath the pass
@@ -151,32 +152,30 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
 }
 
 std::uint64_t MaintenanceLoop::Prewarm() {
-  std::vector<std::string> lines;
-  {
-    std::lock_guard<std::mutex> lock(access_mutex_);
-    lines.assign(access_lines_.begin(), access_lines_.end());
-  }
   std::uint64_t loads = 0;
-  for (const std::string& line : lines) {
-    const ProtocolRequest parsed = ParseRequestLine(line);
-    if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
-      continue;
+  for (const std::string& line : AccessLines()) {
+    const std::shared_ptr<const PreparedQuery> recipe = PrepareLoggedLine(line);
+    if (recipe == nullptr) continue;
+    const GraphSpec& spec = recipe->spec;
+    if (service_.cache().Lookup(spec.key, spec.backend->schema(), spec.guards,
+                                spec.k) != nullptr) {
+      ++loads;
     }
-    if (service_.Prewarm(parsed.query)) ++loads;
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.prewarm_loads += loads;
   return loads;
 }
 
-void MaintenanceLoop::RecordAccess(const std::string& line) {
-  if (options_.store_dir.empty() || options_.access_log_capacity == 0 ||
-      line.empty()) {
-    return;
-  }
+void MaintenanceLoop::RecordAccess(std::string_view line) {
+  RecordAccess(IdentifyLine(line));
+}
+
+void MaintenanceLoop::RecordAccess(const LineIdentity& identity) {
+  if (options_.access_log_capacity == 0 || identity.rest.empty()) return;
   // Lines that differ only in a leading numeric id ask the same query:
   // keep one id-less line for them.
-  std::string id_less = IdentifyLine(line).IdLess();
+  std::string id_less = identity.IdLess();
   std::lock_guard<std::mutex> lock(access_mutex_);
   auto it = access_index_.find(id_less);
   if (it != access_index_.end()) {

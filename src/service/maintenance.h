@@ -5,33 +5,40 @@
 // means passes run only on demand, via the {"op":"maintain"} admin op or
 // RunOnce() directly) over a QueryService. Each pass does, in order:
 //
-//   1. *Complete partials.* Every recipe the service remembers
-//      (QueryService::SnapshotRecipes) whose graph is partial — in the
-//      memory tier or persisted in the store — is resubmitted with the
-//      strategy forced to eager and witness reconstruction off. The
-//      resubmission goes through the ordinary Submit path, so it rides
-//      the same resume-flight single-flight table as live traffic: a
+//   1. *Flush* the access log (below) to the store directory.
+//   2. *Complete partials.* Every logged query line is replayed as its
+//      recipe: parsed and prepared once per pass with the strategy forced
+//      to eager, witness reconstruction off and no trace. A line whose
+//      graph is partial — in the memory tier or persisted in the store —
+//      is submitted through the ordinary Submit path, so it rides the
+//      same resume-flight single-flight table as live traffic: a
 //      concurrent query over the key either coalesces with the
 //      maintenance build or the maintenance build joins it — never two
-//      racing suffix sweeps. Partials are only attacked while the worker
-//      pool is idle (Pending() == 0); the first sign of live traffic ends
-//      the completion phase of the pass.
-//   2. *Sweep.* With disk caps configured, GraphStore::Sweep enforces
+//      racing suffix sweeps. Lines naming a key that an earlier line of
+//      the pass completed find it complete and are skipped. Partials are
+//      only attacked while the worker pool is idle (Pending() == 0); the
+//      first sign of live traffic ends the completion phase of the pass.
+//   3. *Sweep.* With disk caps configured, GraphStore::Sweep enforces
 //      them on a schedule instead of only after writing queries.
 //
-// The loop also owns the *access log*: RecordAccess(line) buffers the
-// JSONL query lines clients send, id-less (bounded LRU of unique lines,
-// memory only — the transport thread never touches disk): lines that
-// differ only in a leading numeric id (IdentifyLine, service/protocol.h)
-// ask the same query and share one entry. Each pass persists them to
-// <store_dir>/access.jsonl via WriteFileAtomically (solver/store.h); a
-// failed flush is retried by the next pass. On startup, Prewarm()
-// replays the persisted log through the protocol parser and asks the
-// service to promote each request's graph from the store into the memory
-// tier — a restarted daemon answers its first real queries from a warm
-// cache. The log survives daemons that crash between passes only up to
-// the last flush; prewarm is an optimization, never a correctness
-// dependency.
+// The loop owns the *access log*, the only record of past requests: a
+// store entry deliberately persists no formulas, so finishing or
+// promoting one needs the guards and class only a request line supplies.
+// RecordAccess buffers the JSONL query lines clients send, id-less
+// (bounded LRU of unique lines, memory only — the transport thread never
+// touches disk): lines that differ only in a leading numeric id
+// (IdentifyLine, service/protocol.h) ask the same query and share one
+// entry. The buffer fills with or without a store directory, so a
+// store-less loop still completes memory-tier partials. With a store
+// directory, each pass persists the buffer to <store_dir>/access.jsonl
+// via WriteFileAtomically (solver/store.h), a failed flush is retried by
+// the next pass, and a new loop seeds its buffer from that file — so a
+// restarted daemon finishes what its predecessor left. On startup,
+// Prewarm() replays the lines the same way and promotes each one's graph
+// from the store into the memory tier — a restarted daemon answers its
+// first real queries from a warm cache. The log survives daemons that
+// crash between passes only up to the last flush; prewarm is an
+// optimization, never a correctness dependency.
 #ifndef AMALGAM_SERVICE_MAINTENANCE_H_
 #define AMALGAM_SERVICE_MAINTENANCE_H_
 
@@ -43,14 +50,17 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "service/service.h"
 
 namespace amalgam {
 
+struct LineIdentity;  // service/protocol.h, which includes this header
+
 struct MaintenanceOptions {
   /// The store directory (the access log lives beside the graph files).
-  /// Empty disables access logging and prewarm.
+  /// Empty keeps the access log in memory only and disables prewarm.
   std::string store_dir;
   /// Background pass cadence; 0 = no thread, passes only via RunOnce().
   int interval_ms = 0;
@@ -105,13 +115,17 @@ class MaintenanceLoop {
 
   /// Remembers a client's query line, without a leading numeric id, for
   /// the access log. Cheap and nonblocking (memory only); call from
-  /// transport threads freely.
-  void RecordAccess(const std::string& line);
+  /// transport threads freely. The second form takes the line already
+  /// split by IdentifyLine.
+  void RecordAccess(std::string_view line);
+  void RecordAccess(const LineIdentity& identity);
 
   MaintenanceStats GetStats() const;
 
  private:
   void ThreadLoop();
+  /// The access buffer's lines, least-recently-accessed first.
+  std::vector<std::string> AccessLines() const;
   /// Persists the access buffer to <store_dir>/access.jsonl (temp+rename;
   /// no-op when unchanged or without a store_dir). A failed write leaves
   /// the buffer dirty, so the next flush retries it.

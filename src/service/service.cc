@@ -125,50 +125,6 @@ std::shared_ptr<const PreparedQuery> QueryService::Prepare(
   return prepared;
 }
 
-void QueryService::RecordRecipe(
-    const std::shared_ptr<const PreparedQuery>& query) {
-  // Every request over a key rebuilds the same graph, so the first recipe
-  // stays. It is untraced, so a replay never records into a trace whose
-  // response was already sent.
-  std::lock_guard<std::mutex> lock(recipes_mutex_);
-  if (recipes_.count(query->spec.key) > 0) return;
-  if (recipes_.size() >= kMaxRecipes) {
-    recipes_.erase(recipe_order_.front());
-    recipe_order_.pop_front();
-  }
-  recipes_.emplace(query->spec.key, query);
-  recipe_order_.push_back(query->spec.key);
-}
-
-std::vector<std::pair<std::string, QueryRequest>>
-QueryService::SnapshotRecipes() const {
-  std::lock_guard<std::mutex> lock(recipes_mutex_);
-  std::vector<std::pair<std::string, QueryRequest>> out;
-  out.reserve(recipe_order_.size());
-  for (const std::string_view key : recipe_order_) {
-    out.emplace_back(std::string(key), recipes_.at(key)->request);
-  }
-  return out;
-}
-
-std::string QueryService::GraphKeyFor(const QueryRequest& request) const {
-  try {
-    return SpecOf(request).key;
-  } catch (const std::exception&) {
-    return std::string();
-  }
-}
-
-bool QueryService::Prewarm(const QueryRequest& request) {
-  try {
-    const GraphSpec spec = SpecOf(request);
-    return cache_.Lookup(spec.key, spec.backend->schema(), spec.guards,
-                         spec.k) != nullptr;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 void QueryService::RegisterFlight(Task& task) {
   const std::string& key = task.query->spec.key;
   if (!task.query->setup_error.empty()) return;
@@ -215,7 +171,6 @@ QueryService::Task QueryService::MakeTask(
   Task task;
   task.query = std::move(query);
   task.trace = std::move(trace);
-  if (task.query->setup_error.empty()) RecordRecipe(task.query);
   task.submitted_at = std::chrono::steady_clock::now();
   return task;
 }
@@ -288,8 +243,8 @@ void QueryService::WorkerLoop() {
     }
     QueryResult result = Execute(task);
     // Decrement before resolving the promise: an observer that synced on
-    // the future (a session writer emitting the response, the maintenance
-    // loop's idleness probe) must never read this query as still
+    // the future (a session writer emitting the response, an idleness
+    // probe through Pending()) must never read this query as still
     // outstanding afterwards. Drain() may consequently return a moment
     // before the final set_value lands; callers that need the result
     // still block in future.get(), so nothing observes a gap.

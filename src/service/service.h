@@ -12,7 +12,9 @@
 //   * a query is prepared once — Prepare derives its keyed GraphSpec into
 //     an immutable PreparedQuery — and may then be submitted any number of
 //     times; the sessions' spec memo (spec_memo.h) reuses one for every
-//     repeat of a request line;
+//     repeat of a request line; the service itself remembers no past
+//     request beyond the recent-query ring's summaries, so a caller that
+//     wants to run one again keeps its own copy and prepares it anew;
 //   * one GraphCache (optionally LRU-capped and disk-backed) is shared by
 //     every query, so distinct requests over the same (class, k, guard
 //     set) reuse one sub-transition graph;
@@ -54,7 +56,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -148,31 +149,9 @@ class QueryService {
   /// Options::recent_capacity) — the {"op":"recent"} slow-query log.
   std::vector<RecentQuery> Recent() const;
 
-  /// Queries accepted but not yet finished — the maintenance loop's
-  /// cheap idleness probe (Stats() copies the latency ring; this doesn't).
+  /// Queries accepted but not yet finished — a cheap idleness probe
+  /// (Stats() copies the latency ring; this doesn't).
   std::uint64_t Pending() const;
-
-  /// The (graph key → request) recipes of recently submitted queries, a
-  /// bounded FIFO snapshot. A store entry deliberately persists no
-  /// formulas, so resuming one needs the guards/class only a request can
-  /// supply — the maintenance loop replays these recipes (strategy forced
-  /// to eager) to drive partial persisted graphs to completion. Recipes
-  /// are stored untraced: a replay never records into a client's trace.
-  std::vector<std::pair<std::string, QueryRequest>> SnapshotRecipes() const;
-
-  /// Promotes the persisted graph for `request`'s key into the memory
-  /// tier without running the query: builds the request's GraphSpec and
-  /// pulls its key through the context-ful cache lookup (disk load +
-  /// promote). Returns true when a graph (complete or partial) is now
-  /// cached in memory; false on a store miss or an invalid request. Never
-  /// builds anything.
-  bool Prewarm(const QueryRequest& request);
-
-  /// The cache key `request` would build under, or "" when the request
-  /// cannot produce one (invalid inputs). Lets the maintenance loop turn
-  /// replayed access-log lines into (key, recipe) pairs without going
-  /// through Submit.
-  std::string GraphKeyFor(const QueryRequest& request) const;
 
   /// The shared cache (for tests and admin paths; thread-safe itself).
   GraphCache& cache() { return cache_; }
@@ -228,14 +207,10 @@ class QueryService {
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// A task for one execution of `query`: records its recipe and stamps
-  /// the submit time; the caller registers and enqueues it.
+  /// A task for one execution of `query`, stamped with the submit time;
+  /// the caller registers and enqueues it.
   Task MakeTask(std::shared_ptr<const PreparedQuery> query,
                 std::shared_ptr<TraceRecorder> trace);
-
-  /// Remembers `query` as the recipe for its key unless one is known
-  /// (bounded FIFO; see SnapshotRecipes).
-  void RecordRecipe(const std::shared_ptr<const PreparedQuery>& query);
 
   /// Registers the task in the single-flight table and assigns its role.
   /// Caller holds queue_mutex_ (registration must be atomic with the
@@ -271,16 +246,6 @@ class QueryService {
   std::unordered_map<std::string, Flight> flights_;
 
   SpecMemo spec_memo_;
-
-  // The recipe registry: enough requests to re-derive any recently-queried
-  // key's build context. Bounded FIFO — at the cap the oldest recipe goes;
-  // a recipe is a pointer to the shared, untraced prepared query, and the
-  // keys view that query's spec.key.
-  static constexpr std::size_t kMaxRecipes = 1024;
-  mutable std::mutex recipes_mutex_;
-  std::unordered_map<std::string_view, std::shared_ptr<const PreparedQuery>>
-      recipes_;
-  std::deque<std::string_view> recipe_order_;  // insertion order
 
   // Guards the one-directory-per-service disk-tier attachment.
   std::mutex store_attach_mutex_;

@@ -116,7 +116,7 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
   if (found.query != nullptr) {
     echo.id_json = identity.id_stripped() ? identity.id_json
                                           : std::move(found.id_json);
-    SubmitQuery(line, std::move(echo), std::move(found.query));
+    SubmitQuery(identity, std::move(echo), std::move(found.query));
     return LineOutcome::kContinue;
   }
   ProtocolRequest request = ParseRequestLine(line);
@@ -132,7 +132,7 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
         service_.spec_memo().Admit(memo_key, prepared, request.id_json);
       }
       echo.id_json = std::move(request.id_json);
-      SubmitQuery(line, std::move(echo), std::move(prepared));
+      SubmitQuery(identity, std::move(echo), std::move(prepared));
       return LineOutcome::kContinue;
     }
     case ProtocolRequest::Op::kStats:
@@ -200,7 +200,7 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
   return LineOutcome::kContinue;
 }
 
-void Session::SubmitQuery(const std::string& line, ProtocolRequest echo,
+void Session::SubmitQuery(const LineIdentity& identity, ProtocolRequest echo,
                           std::shared_ptr<const PreparedQuery> query) {
   if (!query->store_dir.empty()) {
     const std::string error = service_.TryAttachStore(query->store_dir);
@@ -233,10 +233,10 @@ void Session::SubmitQuery(const std::string& line, ProtocolRequest echo,
     PushRendered(FormatErrorResponse(echo, e.what()));
     return;
   }
-  // Accepted: the line joins the access log so a restarted daemon can
-  // prewarm this query's graph.
+  // Accepted: the line joins the access log, the maintenance loop's
+  // recipe for finishing this query's graph and prewarming it on restart.
   if (options_.maintenance != nullptr) {
-    options_.maintenance->RecordAccess(line);
+    options_.maintenance->RecordAccess(identity);
   }
   Push(Item{[echo = std::move(echo), future] {
               return FormatQueryResponse(echo, future.get());

@@ -41,6 +41,7 @@
 
 namespace amalgam {
 
+struct LineIdentity;
 class MaintenanceLoop;
 struct ProtocolRequest;
 
@@ -144,7 +145,7 @@ class Session {
   /// The query half of HandleLine, the same for a memo hit and a parsed
   /// line: store attach, inflight cap, a fresh trace recorder when the
   /// query is traced, submit, access log, and the response echoing `echo`.
-  void SubmitQuery(const std::string& line, ProtocolRequest echo,
+  void SubmitQuery(const LineIdentity& identity, ProtocolRequest echo,
                    std::shared_ptr<const PreparedQuery> query);
 
   void Push(Item item);

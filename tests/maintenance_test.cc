@@ -43,6 +43,9 @@ std::string MaintStoreDir(const std::string& name) {
 // *partial* graph — exactly what the maintenance loop exists to finish.
 const char kReachRedLine[] =
     R"({"kind":"system","class":"all","system":"reach_red"})";
+// The same query with its span tree asked for.
+const char kTracedReachRedLine[] =
+    R"({"kind":"system","class":"all","system":"reach_red","trace":true})";
 
 TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
   const std::string dir = MaintStoreDir("idle_completion");
@@ -56,7 +59,7 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
     QueryService::Options options;
     options.store_dir = dir;
     QueryService service(options);
-    key = service.GraphKeyFor(parsed.query);
+    key = QueryService::Prepare(parsed.query)->spec.key;
     ASSERT_FALSE(key.empty());
     QueryResult first = service.Submit(parsed.query).get();
     ASSERT_TRUE(first.ok) << first.error;
@@ -78,8 +81,7 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
   }
 
   // Daemon 2: NO queries. One maintenance pass — its recipes derived
-  // entirely from the persisted access log, since the in-memory recipe
-  // registry of a fresh daemon is empty — must complete the entry.
+  // entirely from the persisted access log — must complete the entry.
   {
     QueryService::Options options;
     options.store_dir = dir;
@@ -270,8 +272,7 @@ TEST(MaintenanceTest, ReplayedRecipeNeverRecordsIntoTheClientTrace) {
   // recipe that completes it. The completion run must not record into the
   // client's recorder (its response is long gone) nor report as traced.
   const std::string dir = MaintStoreDir("untraced_recipe");
-  ProtocolRequest parsed = ParseRequestLine(
-      R"({"kind":"system","class":"all","system":"reach_red","trace":true})");
+  ProtocolRequest parsed = ParseRequestLine(kTracedReachRedLine);
   ASSERT_TRUE(parsed.error.empty()) << parsed.error;
   const std::shared_ptr<TraceRecorder> client_trace = parsed.query.trace;
   ASSERT_NE(client_trace, nullptr);
@@ -287,6 +288,7 @@ TEST(MaintenanceTest, ReplayedRecipeNeverRecordsIntoTheClientTrace) {
   MaintenanceOptions mopts;
   mopts.store_dir = dir;
   MaintenanceLoop loop(service, mopts);
+  loop.RecordAccess(kTracedReachRedLine);  // what a Session records
   EXPECT_EQ(loop.RunOnce().partials_completed, 1u);
   service.Drain();
   EXPECT_EQ(client_trace->span_count(), client_spans);
@@ -300,6 +302,93 @@ TEST(MaintenanceTest, ReplayedRecipeNeverRecordsIntoTheClientTrace) {
   EXPECT_TRUE(client.traced);
   EXPECT_FALSE(replay.traced);
   EXPECT_TRUE(replay.span_rollup.empty());
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, RestartedLogReplayRunsUntraced) {
+  // A traced line in the persisted log is a recipe like any other: the
+  // restarted daemon's completion of it must run without a recorder, not
+  // with the fresh one parsing the line would give it.
+  const std::string dir = MaintStoreDir("untraced_log_replay");
+  QueryService::Options options;
+  options.store_dir = dir;
+  {
+    QueryService service(options);
+    const QueryResult first =
+        service.Submit(ParseRequestLine(kReachRedLine).query).get();
+    ASSERT_TRUE(first.ok) << first.error;
+    service.Shutdown();
+  }
+  std::ofstream(dir + "/access.jsonl") << kTracedReachRedLine << "\n";
+
+  QueryService service(options);
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  MaintenanceLoop loop(service, mopts);
+  EXPECT_EQ(loop.RunOnce().partials_completed, 1u);
+  const std::vector<RecentQuery> recent = service.Recent();
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_FALSE(recent[0].traced);
+  EXPECT_TRUE(recent[0].span_rollup.empty());
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, StorelessLoopCompletesAMemoryPartial) {
+  // Without a store directory the access log never touches disk, but it
+  // still records the lines Session traffic sends, so a pass finishes the
+  // memory-tier partial an on-the-fly query left.
+  QueryService service;
+  MaintenanceLoop loop(service, MaintenanceOptions{});
+  {
+    Session::Options sopts;
+    sopts.maintenance = &loop;
+    Session session(service, sopts, [](const std::string&) {});
+    session.HandleLine(kReachRedLine);
+    session.Flush();
+  }
+  const std::string key =
+      QueryService::Prepare(ParseRequestLine(kReachRedLine).query)->spec.key;
+  const std::shared_ptr<const SubTransitionGraph> partial =
+      service.cache().Peek(key);
+  ASSERT_NE(partial, nullptr);
+  ASSERT_FALSE(partial->complete());
+
+  EXPECT_EQ(loop.RunOnce().partials_completed, 1u);
+  const std::shared_ptr<const SubTransitionGraph> completed =
+      service.cache().Peek(key);
+  ASSERT_NE(completed, nullptr);
+  EXPECT_TRUE(completed->complete());
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, OnePassBuildsEachPartialKeyOnce) {
+  // Two distinct logged lines ask for one graph. The first completes it;
+  // the second must find it complete, not build it again.
+  const char kExplicitOnTheFly[] =
+      R"({"kind":"system","class":"all","system":"reach_red",)"
+      R"("strategy":"onthefly"})";
+  const std::string dir = MaintStoreDir("per_key_dedupe");
+  QueryService::Options options;
+  options.store_dir = dir;
+  QueryService service(options);
+  const ProtocolRequest parsed = ParseRequestLine(kReachRedLine);
+  const std::string key = QueryService::Prepare(parsed.query)->spec.key;
+  ASSERT_EQ(
+      QueryService::Prepare(ParseRequestLine(kExplicitOnTheFly).query)
+          ->spec.key,
+      key);
+  const QueryResult first = service.Submit(parsed.query).get();
+  ASSERT_TRUE(first.ok) << first.error;
+
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  MaintenanceLoop loop(service, mopts);
+  loop.RecordAccess(kReachRedLine);
+  loop.RecordAccess(kExplicitOnTheFly);
+  const std::uint64_t writes_before = service.Stats().store_writes;
+  EXPECT_EQ(loop.RunOnce().partials_completed, 1u);
+  EXPECT_EQ(service.Stats().store_writes, writes_before + 1);
+  EXPECT_TRUE(service.cache().Peek(key)->complete());
   service.Shutdown();
 }
 

@@ -456,7 +456,7 @@ QueryResult RunSpec(const std::string& line, std::string* key = nullptr) {
   ProtocolRequest request = ParseRequestLine(line);
   EXPECT_TRUE(request.error.empty()) << request.error << "\n" << line;
   QueryService service;
-  if (key != nullptr) *key = service.GraphKeyFor(request.query);
+  if (key != nullptr) *key = QueryService::Prepare(request.query)->spec.key;
   QueryResult result = service.Submit(std::move(request.query)).get();
   EXPECT_TRUE(result.ok) << result.error;
   return result;
@@ -760,7 +760,7 @@ TEST(ServiceTest, SeededParityWithThePositionalFrontDoors) {
   // kind × strategy × {memory only, store_dir}, a fresh service and the
   // positional front door over a fresh cache must report the same verdict
   // and the same work, and the service's cache must hold the graph under
-  // the key GraphKeyFor computes — the key that keyed the flight table is
+  // the key Prepare computes — the key that keyed the flight table is
   // the key the engine stored under.
   std::mt19937 rng(20261017);
   int case_id = 0;
@@ -781,7 +781,7 @@ TEST(ServiceTest, SeededParityWithThePositionalFrontDoors) {
           QueryService service(options);
           const QueryResult served = service.Submit(request).get();
           ASSERT_TRUE(served.ok) << "case " << tag << ": " << served.error;
-          const std::string key = service.GraphKeyFor(request);
+          const std::string key = QueryService::Prepare(request)->spec.key;
           ASSERT_FALSE(key.empty()) << "case " << tag;
           EXPECT_NE(service.cache().Peek(key), nullptr)
               << "case " << tag << ": no graph under the submit-time key";
