@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <new>
 #include <string>
 #include <thread>
@@ -334,10 +335,17 @@ void BM_ColdResume(benchmark::State& state) {
     guards.push_back(rule.guard);
   }
   const int k = system.num_registers();
+  // The joint stream a build sweeps: the one the guards' read set prunes.
+  const std::optional<ReadSet> reads = SubTransitionGraph(guards, k).reads();
+  const EnumControl joint_ctl{nullptr, 0, reads ? &*reads : nullptr};
   std::uint64_t joint_total = 0;
-  cls.EnumerateGenerated(2 * k, [&](const Structure&, std::span<const Elem>) {
-    ++joint_total;
-  });
+  cls.EnumerateGeneratedFrom(
+      2 * k, 0,
+      [&](const Structure&, std::span<const Elem>, std::uint64_t) {
+        ++joint_total;
+        return true;
+      },
+      joint_ctl);
   const std::uint64_t cutoff = joint_total * pct / 100;
 
   // The suspended build: full initial sweep, joint sweep up to the cursor.
@@ -359,7 +367,8 @@ void BM_ColdResume(benchmark::State& state) {
                                    [](int, int, int, int) { return true; });
         partial.AdvanceCursorTo({kCursorPhaseJoint, pos + 1});
         return true;
-      });
+      },
+      joint_ctl);
   const std::string bytes = SerializeGraph(partial, "bench-cold-resume");
 
   SolveStats last;

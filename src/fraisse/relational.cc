@@ -61,20 +61,65 @@ std::uint64_t AtomCountFor(const SchemaRef& schema, int d) {
   return atoms;
 }
 
+// Whether a guard atom of `reads` names `atom` under `marks`.
+bool IsRead(const RelAtom& atom, std::span<const Elem> marks,
+            const ReadSet& reads) {
+  for (const ReadSet::Atom& r : reads.atoms) {
+    if (r.rel != atom.rel) continue;
+    bool same = true;
+    for (std::size_t i = 0; i < r.positions.size() && same; ++i) {
+      same = marks[r.positions[i]] == atom.tuple[i];
+    }
+    if (same) return true;
+  }
+  return false;
+}
+
+// Drops from `atoms` every cross tuple `reads` does not name, so the grid
+// fixes it absent: a tuple holding an element only old marks point at and
+// one only new marks point at lies in neither projection, and a guard reads
+// only the tuples its atoms name. `marks[p]` is the element mark p points
+// at. Null `reads` keeps every atom.
+std::vector<RelAtom> DropUnreadCross(std::vector<RelAtom> atoms,
+                                     std::span<const Elem> marks,
+                                     const ReadSet* reads) {
+  if (reads == nullptr) return atoms;
+  // Bit 1: an old mark points at the element; bit 2: a new mark does.
+  // Every element is marked, so elements are below marks.size().
+  std::vector<unsigned char> side(marks.size(), 0);
+  for (std::size_t p = 0; p < marks.size(); ++p) {
+    side[marks[p]] |= p < static_cast<std::size_t>(reads->old_marks) ? 1 : 2;
+  }
+  std::vector<RelAtom> kept;
+  kept.reserve(atoms.size());
+  for (RelAtom& atom : atoms) {
+    unsigned char only = 0;  // bit 1: an old-only element; bit 2: new-only
+    for (Elem e : atom.tuple) {
+      if (side[e] != 3) only |= side[e];
+    }
+    if (only == 3 && !IsRead(atom, marks, *reads)) continue;
+    kept.push_back(std::move(atom));
+  }
+  return kept;
+}
+
 // One row of a positioned member grid: a set partition of the marks (its
 // restricted-growth string), the induced element count, the size of the
 // row's inner space and the stream position of the row's first member.
+// Atom-mask grids also keep the atoms the row sweeps.
 struct GridRow {
   std::vector<int> block_of;
   int d = 0;
   std::uint64_t count = 0;
   std::uint64_t offset = 0;
+  std::vector<RelAtom> atoms;
 };
 
-// Collects the partition rows of the m-generated stream; `inner` maps the
-// block count d to the row's inner-space size.
+// Collects the partition rows of the m-generated stream; `inner` receives
+// each row with its partition and block count set, fills in what else its
+// grid needs and returns the row's inner-space size.
 std::vector<GridRow> CollectGridRows(
-    int m, const std::function<std::uint64_t(int)>& inner,
+    int m, const std::function<std::uint64_t(GridRow&)>& inner,
     std::uint64_t* total) {
   std::vector<GridRow> rows;
   std::uint64_t offset = 0;
@@ -84,7 +129,7 @@ std::vector<GridRow> CollectGridRows(
     row.d = block_of.empty()
                 ? 0
                 : 1 + *std::max_element(block_of.begin(), block_of.end());
-    row.count = inner(row.d);
+    row.count = inner(row);
     row.offset = offset;
     offset = SatAdd(offset, row.count);
     rows.push_back(std::move(row));
@@ -99,6 +144,28 @@ std::vector<Elem> MarksOf(const std::vector<int>& block_of) {
     marks[i] = static_cast<Elem>(block_of[i]);
   }
   return marks;
+}
+
+// The rows of AllStructuresClass's (set partition × atom mask) grid, each
+// with the atoms its masks address. The cap counts a row's full atom set,
+// so pruning never admits a query the full grid refuses.
+std::vector<GridRow> AtomGridRows(const SchemaRef& schema, int m,
+                                  const EnumControl& ctl,
+                                  std::uint64_t* total) {
+  if (ctl.reads != nullptr && m != 2 * ctl.reads->old_marks) {
+    throw std::invalid_argument("the read set was built for another k");
+  }
+  const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
+  return CollectGridRows(
+      m,
+      [&](GridRow& row) {
+        const std::uint64_t atoms = AtomCountFor(schema, row.d);
+        if (atoms > cap) throw EnumerationCapError(atoms, cap);
+        row.atoms = DropUnreadCross(AtomsFor(schema, row.d),
+                                    MarksOf(row.block_of), ctl.reads);
+        return std::uint64_t{1} << row.atoms.size();
+      },
+      total);
 }
 
 // Balanced contiguous split of [0, total) into n_shards ranges.
@@ -247,7 +314,11 @@ AllStructuresClass::AllStructuresClass(SchemaRef schema)
 }
 
 std::string AllStructuresClass::Fingerprint() const {
-  return "all-structures|" + schema_->Fingerprint();
+  // The tag names the sweep mode: positioned streams under a read set fix
+  // unread cross tuples absent, so a cursor written against the full
+  // stream ("all-structures|", before the mode existed) must never resume
+  // here. Same length as the old tag, so keys and records keep their size.
+  return "all-cross-read|" + schema_->Fingerprint();
 }
 
 bool AllStructuresClass::Contains(const Structure& s) const {
@@ -260,6 +331,15 @@ void AllStructuresClass::EnumerateGeneratedUntil(
       schema_, m, [](const Structure&) { return true; }, cb);
 }
 
+std::vector<std::pair<std::vector<Elem>, std::uint64_t>>
+AllStructuresClass::RowCounts(int m, const EnumControl& ctl) const {
+  std::vector<std::pair<std::vector<Elem>, std::uint64_t>> counts;
+  for (const GridRow& row : AtomGridRows(schema_, m, ctl, nullptr)) {
+    counts.emplace_back(MarksOf(row.block_of), row.count);
+  }
+  return counts;
+}
+
 // Positioned enumeration over the (set partition × atom mask) grid: a
 // stream position decodes into (row, mask), the seed mask's atoms are set
 // directly, and the incremental delta loop continues from there — so the
@@ -268,20 +348,11 @@ void AllStructuresClass::EnumerateRange(int m, std::uint64_t lo,
                                         std::uint64_t hi,
                                         const ShardCallback& cb,
                                         const EnumControl& ctl) const {
-  const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
-  const std::vector<GridRow> rows = CollectGridRows(
-      m,
-      [&](int d) {
-        const std::uint64_t atoms = AtomCountFor(schema_, d);
-        if (atoms > cap) throw EnumerationCapError(atoms, cap);
-        return std::uint64_t{1} << atoms;
-      },
-      nullptr);
-  for (const GridRow& row : rows) {
+  for (const GridRow& row : AtomGridRows(schema_, m, ctl, nullptr)) {
     if (row.offset >= hi || row.offset + row.count <= lo) continue;
     const std::uint64_t mask_lo = lo > row.offset ? lo - row.offset : 0;
     const std::uint64_t mask_hi = std::min(row.count, hi - row.offset);
-    const std::vector<RelAtom> atoms = AtomsFor(schema_, row.d);
+    const std::vector<RelAtom>& atoms = row.atoms;
     const std::vector<Elem> marks = MarksOf(row.block_of);
     Structure s(schema_, row.d);
     for (std::size_t i = 0; i < atoms.size(); ++i) {
@@ -306,16 +377,8 @@ void AllStructuresClass::EnumerateGeneratedShard(int m, int n_shards,
                                                  int shard,
                                                  const ShardCallback& cb,
                                                  const EnumControl& ctl) const {
-  const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
   std::uint64_t total = 0;
-  CollectGridRows(
-      m,
-      [&](int d) {
-        const std::uint64_t atoms = AtomCountFor(schema_, d);
-        if (atoms > cap) throw EnumerationCapError(atoms, cap);
-        return std::uint64_t{1} << atoms;
-      },
-      &total);
+  AtomGridRows(schema_, m, ctl, &total);
   const auto [lo, hi] = ShardRange(total, n_shards, shard);
   EnumerateRange(m, lo, hi, cb, ctl);
 }
@@ -330,14 +393,20 @@ void AllStructuresClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
 // restricted growth string relative to the shape's elements (a value below
 // d0 reuses an old element; new blocks are numbered d0, d0+1, ... by first
 // occurrence), and only atoms touching at least one new element are swept —
-// the old atoms are copied from the shape. Per the EnumerateExtensions
-// contract, the streams over all m-generated shapes partition the full
-// 2m-generated stream.
+// the old atoms are copied from the shape — less the unread cross tuples
+// under a read set. Per the EnumerateExtensions contract, the streams over
+// all m-generated shapes partition the (equally pruned) 2m-generated
+// stream.
 void AllStructuresClass::EnumerateExtensions(const Structure& old_structure,
                                              std::span<const Elem> old_marks,
                                              int extra_marks,
                                              const StopCallback& cb,
                                              const EnumControl& ctl) const {
+  if (ctl.reads != nullptr &&
+      (static_cast<std::size_t>(ctl.reads->old_marks) != old_marks.size() ||
+       extra_marks != ctl.reads->old_marks)) {
+    throw std::invalid_argument("the read set was built for another k");
+  }
   const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
   const int d0 = static_cast<int>(old_structure.size());
   std::vector<Elem> marks(old_marks.begin(), old_marks.end());
@@ -362,6 +431,7 @@ void AllStructuresClass::EnumerateExtensions(const Structure& old_structure,
       });
     }
     if (atoms.size() > cap) throw EnumerationCapError(atoms.size(), cap);
+    atoms = DropUnreadCross(std::move(atoms), marks, ctl.reads);
     Structure s(schema_, d);
     for (int r = 0; r < schema_->num_relations(); ++r) {
       const int arity = schema_->relation(r).arity;
@@ -517,7 +587,8 @@ void LinearOrderClass::EnumerateRange(int m, std::uint64_t lo,
                                       std::uint64_t hi, const ShardCallback& cb,
                                       const EnumControl& ctl) const {
   const std::vector<GridRow> rows =
-      CollectGridRows(m, [](int d) { return Factorial(d); }, nullptr);
+      CollectGridRows(
+          m, [](GridRow& row) { return Factorial(row.d); }, nullptr);
   for (const GridRow& row : rows) {
     if (row.offset >= hi || row.offset + row.count <= lo) continue;
     const std::uint64_t p_lo = lo > row.offset ? lo - row.offset : 0;
@@ -542,7 +613,7 @@ void LinearOrderClass::EnumerateGeneratedShard(int m, int n_shards, int shard,
                                                const ShardCallback& cb,
                                                const EnumControl& ctl) const {
   std::uint64_t total = 0;
-  CollectGridRows(m, [](int d) { return Factorial(d); }, &total);
+  CollectGridRows(m, [](GridRow& row) { return Factorial(row.d); }, &total);
   const auto [lo, hi] = ShardRange(total, n_shards, shard);
   EnumerateRange(m, lo, hi, cb, ctl);
 }
@@ -641,7 +712,8 @@ void EquivalenceClass::EnumerateRange(int m, std::uint64_t lo,
                                       std::uint64_t hi, const ShardCallback& cb,
                                       const EnumControl& ctl) const {
   const std::vector<GridRow> rows =
-      CollectGridRows(m, [](int d) { return BellNumber(d); }, nullptr);
+      CollectGridRows(
+          m, [](GridRow& row) { return BellNumber(row.d); }, nullptr);
   for (const GridRow& row : rows) {
     if (row.offset >= hi || row.offset + row.count <= lo) continue;
     const std::uint64_t p_lo = lo > row.offset ? lo - row.offset : 0;
@@ -667,7 +739,8 @@ void EquivalenceClass::EnumerateGeneratedShard(int m, int n_shards, int shard,
                                                const ShardCallback& cb,
                                                const EnumControl& ctl) const {
   std::uint64_t total = 0;
-  CollectGridRows(m, [](int d) { return BellNumber(d); }, &total);
+  CollectGridRows(m, [](GridRow& row) { return BellNumber(row.d); },
+                  &total);
   const auto [lo, hi] = ShardRange(total, n_shards, shard);
   EnumerateRange(m, lo, hi, cb, ctl);
 }

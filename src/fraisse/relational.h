@@ -10,6 +10,8 @@
 #define AMALGAM_FRAISSE_RELATIONAL_H_
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "fraisse/fraisse_class.h"
 
@@ -43,6 +45,12 @@ void EnumerateRelationalGenerated(
 /// enumeration decodes a stream position into (partition, mask), seeds the
 /// incremental SetHolds delta loop mid-grid, shards get contiguous ranges,
 /// and joint members can be generated per shape via EnumerateExtensions.
+///
+/// The class is closed under deleting tuples, so the positioned entry
+/// points and EnumerateExtensions honour EnumControl::reads: each row's
+/// masks skip the cross tuples no guard reads, which stay absent. Row
+/// counts, positions, shard ranges and cursors are all taken over that
+/// pruned grid; without a read set the stream is the full grid.
 class AllStructuresClass : public FraisseClass {
  public:
   explicit AllStructuresClass(SchemaRef schema);
@@ -64,6 +72,12 @@ class AllStructuresClass : public FraisseClass {
                            std::span<const Elem> old_marks, int extra_marks,
                            const StopCallback& cb,
                            const EnumControl& ctl = {}) const override;
+
+  /// The rows of the m-mark grid in stream order: each set partition of
+  /// the marks (as the row's mark tuple) with the number of members the row
+  /// contributes under `ctl` — the counts stream positions are taken over.
+  std::vector<std::pair<std::vector<Elem>, std::uint64_t>> RowCounts(
+      int m, const EnumControl& ctl = {}) const;
 
  private:
   void EnumerateRange(int m, std::uint64_t lo, std::uint64_t hi,

@@ -223,22 +223,24 @@ void DaemonServer::AcceptAll(int listen_fd) {
       conn.id = ++next_conn_id_;
       std::shared_ptr<OutBuf> out = conn.out;
       const int wake_fd = wake_fd_;
-      // Runs on the session's writer thread: append the line, wake the loop.
-      Session::Emit emit = [out, wake_fd](const std::string& line) {
-        {
-          std::lock_guard<std::mutex> lock(out->mutex);
-          if (out->closed) return;  // connection died; drop the response
-          out->data.append(line);
-          out->data.push_back('\n');
-        }
-        std::uint64_t one = 1;
-        ssize_t ignored = ::write(wake_fd, &one, sizeof(one));
-        (void)ignored;
+      // Both run on the session's writer thread: append the line, then —
+      // once the session counts it written, so the loop's FlushedAll() can
+      // see it — wake the loop.
+      Session::Emit emit = [out](const std::string& line) {
+        std::lock_guard<std::mutex> lock(out->mutex);
+        if (out->closed) return;  // connection died; drop the response
+        out->data.append(line);
+        out->data.push_back('\n');
       };
       Session::Options sopts;
       sopts.id = conn.id;
       sopts.max_inflight = options_.max_inflight_per_conn;
       sopts.maintenance = options_.maintenance;
+      sopts.on_written = [wake_fd] {
+        std::uint64_t one = 1;
+        ssize_t ignored = ::write(wake_fd, &one, sizeof(one));
+        (void)ignored;
+      };
       conn.session = std::make_unique<Session>(service_, sopts,
                                                std::move(emit), &counters_);
       counters_.opened.fetch_add(1, std::memory_order_relaxed);

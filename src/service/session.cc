@@ -72,6 +72,7 @@ void Session::WriterLoop() {
       if (item.is_query) --inflight_;
     }
     written_cv_.notify_all();
+    if (options_.on_written) options_.on_written();
   }
 }
 

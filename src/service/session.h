@@ -78,6 +78,10 @@ class Session {
     /// its counters, and {"op":"maintain"} triggers a pass. Must outlive
     /// the session.
     MaintenanceLoop* maintenance = nullptr;
+    /// Called on the writer thread after each emitted line is counted, so
+    /// a FlushedAll() it prompts sees the line as written. The socket
+    /// transport wakes its event loop here.
+    std::function<void()> on_written;
   };
 
   /// Receives one complete response line (no terminator), called from the

@@ -19,6 +19,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "base/ops.h"
 #include "base/schema.h"
@@ -69,6 +70,23 @@ struct CursorSupport {
   bool extensions = false;
 };
 
+/// The tuples a set of quantifier-free guards reads on a joint member,
+/// named by mark positions: the atom R(x_p1, ..., x_pn) of a guard reads
+/// the tuple of the elements that marks p1..pn point at. Marks below
+/// `old_marks` are the old registers, the rest the new ones.
+/// SubTransitionGraph builds one per graph from its distinct guards; a
+/// guard set with a quantifier or a function term reads every tuple and
+/// has none.
+struct ReadSet {
+  struct Atom {
+    int rel;
+    std::vector<int> positions;
+    friend bool operator==(const Atom&, const Atom&) = default;
+  };
+  int old_marks = 0;
+  std::vector<Atom> atoms;  // distinct
+};
+
 /// Out-of-band knobs threaded through the positioned enumeration entry
 /// points. `generated` (when non-null) is incremented once per member the
 /// backend *materializes* — for native cursors that is only the requested
@@ -76,9 +94,19 @@ struct CursorSupport {
 /// they count every member. The members_generated / members_enumerated split
 /// in SolveStats is exactly this distinction. `atom_cap` overrides the
 /// relational enumerators' candidate-space cap (0 = backend default).
+///
+/// `reads` (when non-null) names the tuples the sweep's guards read. A
+/// backend closed under deleting *cross* tuples — those holding an element
+/// only old marks point at and one only new marks point at, so neither
+/// projection holds them — may fix every unread cross tuple absent: each
+/// (old shape, guard, new shape) edge is still produced, by the member with
+/// those tuples deleted. The stream it enumerates is then the pruned one,
+/// and positions, shard ranges and cursors all index that stream. Backends
+/// that do not qualify ignore it; null reads everything.
 struct EnumControl {
   std::uint64_t* generated = nullptr;
   std::uint32_t atom_cap = 0;
+  const ReadSet* reads = nullptr;
 };
 
 /// Abstract source of small configurations for the exploration engine.
@@ -91,10 +119,11 @@ class SolverBackend {
 
   /// A stable serialization of the class's identity: two backends with
   /// equal fingerprints must enumerate identical member streams (same
-  /// structures, same marks, same order) for every m. Used by GraphCache
-  /// to key complete sub-transition graphs across queries; include every
-  /// parameter that shapes enumeration (schema, templates, automata,
-  /// caps).
+  /// structures, same marks, same order) for every m and every
+  /// EnumControl::reads. Used by GraphCache to key complete and partial
+  /// sub-transition graphs across queries (a partial's cursor indexes one
+  /// of those streams); include every parameter that shapes enumeration
+  /// (schema, templates, automata, caps, and whether the read set prunes).
   virtual std::string Fingerprint() const = 0;
 
   /// Callback receiving a member structure and the generating m-tuple of
@@ -124,7 +153,8 @@ class SolverBackend {
   virtual CursorSupport cursor_support() const { return {}; }
 
   /// Enumerates shard `shard` of `n_shards` disjoint slices of the
-  /// EnumerateGeneratedUntil(m, ...) stream. Requirements on overrides: the
+  /// EnumerateGeneratedUntil(m, ...) stream (the pruned stream when
+  /// `ctl.reads` prunes; see EnumControl). Requirements on overrides: the
   /// n_shards shards must partition the full stream, each member must be
   /// reported with its position in that full stream, and positions within a
   /// shard must arrive in increasing order. Must be safe to call from
@@ -152,8 +182,9 @@ class SolverBackend {
         });
   }
 
-  /// Enumerates the EnumerateGeneratedUntil(m, ...) stream starting at
-  /// position `start`, reporting each member with its stream position — the
+  /// Enumerates the EnumerateGeneratedUntil(m, ...) stream (pruned as for
+  /// EnumerateGeneratedShard) starting at position `start`, reporting each
+  /// member with its stream position — the
   /// positioned enumeration behind resumable graph builds (a persisted
   /// partial graph records the position its suspended sweep would continue
   /// at; see SubTransitionGraph::cursor()). The default adapter walks the
@@ -182,9 +213,10 @@ class SolverBackend {
   /// new marks are appended. The engine's frontier sweep uses this to
   /// generate joint members per reached shape — O(reached region) — instead
   /// of filtering the global 2k stream. The union of extension streams over
-  /// every m-generated shape must reproduce the EnumerateGeneratedUntil(2m)
-  /// stream exactly: same isomorphism classes, each exactly once across all
-  /// shapes (per-shape streams partition the full stream), so frontier
+  /// every m-generated shape must reproduce the joint stream with the same
+  /// `ctl.reads` (EnumerateGeneratedFrom(2m, 0, ..., ctl)) exactly: same
+  /// isomorphism classes, each exactly once across all shapes (per-shape
+  /// streams partition the joint stream), so frontier
   /// member counts never exceed — and on full sweeps equal — the eager
   /// count. Optional capability: only callable when
   /// cursor_support().extensions is true; the default throws.

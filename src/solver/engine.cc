@@ -317,10 +317,12 @@ void ExplorationEngine::RunOnTheFly(bool cached) {
   // frontier-directed form when nothing is cached or persisted (see
   // RunFrontierSweep — its graph is not a resumable stream prefix); the
   // positioned stream sweep below otherwise.
+  const std::optional<ReadSet> reads = owned_graph_->reads();
+  const ReadSet* joint_reads = reads ? &*reads : nullptr;
   if (goal_ < 0 && !cached && k_ >= 1 &&
       backend_.cursor_support().extensions &&
       owned_graph_->cursor() == BuildCursor{kCursorPhaseJoint, 0}) {
-    RunFrontierSweep();
+    RunFrontierSweep(joint_reads);
     result_.stats.raw_memo_hits =
         owned_graph_->interner().raw_hits() - raw_hits_before;
     return;
@@ -355,7 +357,7 @@ void ExplorationEngine::RunOnTheFly(bool cached) {
           return swept && goal_ < 0;
         },
         EnumControl{&result_.stats.members_generated,
-                    options_.relational_atom_cap});
+                    options_.relational_atom_cap, joint_reads});
     sweep_span.Annotate("members_enumerated",
                         result_.stats.members_enumerated - enumerated_before);
     sweep_span.Annotate("edges", owned_graph_->num_edges() - edges_before);
@@ -369,7 +371,7 @@ void ExplorationEngine::RunOnTheFly(bool cached) {
       owned_graph_->interner().raw_hits() - raw_hits_before;
 }
 
-void ExplorationEngine::RunFrontierSweep() {
+void ExplorationEngine::RunFrontierSweep(const ReadSet* reads) {
   // Worklist over shapes: expand every shape some rule could currently
   // fire out of, relax the fresh edges (which may reach new shapes'
   // configurations), rescan until closed or the goal appears. Each shape
@@ -416,7 +418,7 @@ void ExplorationEngine::RunFrontierSweep() {
             return swept && goal_ < 0;
           },
           EnumControl{&result_.stats.members_generated,
-                      options_.relational_atom_cap});
+                      options_.relational_atom_cap, reads});
     }
   }
   sweep_span.Annotate("members_enumerated",

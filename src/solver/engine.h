@@ -269,8 +269,8 @@ class ExplorationEngine {
   /// member count never exceeds the eager sweep's and equals it when every
   /// shape expands. Only used cache-less: a frontier-built graph omits
   /// unreached shapes' edges, so it is not a resumable stream prefix and
-  /// must never be cached or persisted.
-  void RunFrontierSweep();
+  /// must never be cached or persisted. `reads` is the graph's read set.
+  void RunFrontierSweep(const ReadSet* reads);
   /// Seeds the initial shapes and BFSes over graph_'s recorded edges
   /// under a `span_name` span, stopping at an accepting configuration.
   void ReplayGraph(const char* span_name);

@@ -52,6 +52,28 @@ bool SweepJointMember(std::span<const CompiledGuard> guards,
   return true;
 }
 
+// Adds the atoms `f` names to `reads` as (relation, mark positions), each
+// once; false when `f` reads tuples no mark position names (a quantifier,
+// a function term, a variable beyond the 2k marks).
+bool CollectReads(const Formula& f, int num_marks, ReadSet& reads) {
+  if (f.kind() == Formula::Kind::kExists) return false;
+  std::vector<int> positions;
+  for (const Term& t : f.terms()) {
+    if (t.kind != Term::Kind::kVar || t.var >= num_marks) return false;
+    positions.push_back(t.var);
+  }
+  ReadSet::Atom atom{f.rel(), std::move(positions)};
+  if (f.kind() == Formula::Kind::kRel &&
+      std::find(reads.atoms.begin(), reads.atoms.end(), atom) ==
+          reads.atoms.end()) {
+    reads.atoms.push_back(std::move(atom));
+  }
+  for (const FormulaRef& child : f.children()) {
+    if (!CollectReads(*child, num_marks, reads)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 SubTransitionGraph::SubTransitionGraph(std::vector<FormulaRef> guards, int k)
@@ -107,6 +129,15 @@ std::shared_ptr<SubTransitionGraph> SubTransitionGraph::FromParts(
   graph->num_edges_ = num_edges;
   graph->cursor_ = cursor;
   return graph;
+}
+
+std::optional<ReadSet> SubTransitionGraph::reads() const {
+  ReadSet reads;
+  reads.old_marks = k_;
+  for (const FormulaRef& g : guards_) {
+    if (!CollectReads(*g, 2 * k_, reads)) return std::nullopt;
+  }
+  return reads;
 }
 
 void SubTransitionGraph::AdvanceCursorTo(const BuildCursor& c) {
@@ -197,6 +228,7 @@ void SubTransitionGraph::BuildFull(const SolverBackend& backend,
   if (cursor_.phase == kCursorPhaseInitial) {
     SweepInitialMembers(backend, stats, max_shapes, atom_cap);
   }
+  const std::optional<ReadSet> joint_reads = reads();
   backend.EnumerateGeneratedFrom(
       2 * k_, cursor_.next_member,
       [&](const Structure& d, std::span<const Elem> marks,
@@ -210,7 +242,8 @@ void SubTransitionGraph::BuildFull(const SolverBackend& backend,
         }
         return true;
       },
-      EnumControl{&stats.members_generated, atom_cap});
+      EnumControl{&stats.members_generated, atom_cap,
+                  joint_reads ? &*joint_reads : nullptr});
   stats.raw_memo_hits = interner_.raw_hits() - raw_hits_before;
   cursor_ = BuildCursor{kCursorPhaseComplete, 0};
 }
@@ -234,6 +267,7 @@ void SubTransitionGraph::BuildFullParallel(const SolverBackend& backend,
   // workers must skip them (the member at the position itself may have
   // been half-swept and is re-processed — the merge dedups).
   const std::uint64_t joint_start = cursor_.next_member;
+  const std::optional<ReadSet> joint_reads = reads();
 
   // Phase 1 — the joint-member sweep, sharded. Each worker owns a disjoint
   // slice of the 2k stream and touches only its own buffers: a staging
@@ -300,7 +334,8 @@ void SubTransitionGraph::BuildFullParallel(const SolverBackend& backend,
                 });
             return true;
           },
-          EnumControl{&wk.stats.members_generated, atom_cap});
+          EnumControl{&wk.stats.members_generated, atom_cap,
+                      joint_reads ? &*joint_reads : nullptr});
     } catch (...) {
       wk.error = std::current_exception();
     }

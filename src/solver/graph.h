@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -201,6 +202,12 @@ class SubTransitionGraph {
   std::uint64_t num_edges() const { return num_edges_; }
   int k() const { return k_; }
   const std::vector<FormulaRef>& guards() const { return guards_; }
+  /// The tuples the guards read on a joint member, handed to every 2k
+  /// sweep as EnumControl::reads; nullopt when a guard has a quantifier or
+  /// a function term (it reads everything). Derived from the distinct
+  /// guards on each call rather than stored, so the many complete graphs a
+  /// cache holds carry no copy: take it once per sweep.
+  std::optional<ReadSet> reads() const;
 
   /// How far the member sweep has progressed; persisted alongside the
   /// graph so a later query resumes instead of rebuilding.

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -55,6 +56,20 @@ std::vector<Member> ReferenceStream(const SolverBackend& backend, int m) {
         return true;
       });
   return out;
+}
+
+// The length of the positioned stream `reads` prunes (null: the full one).
+std::uint64_t PositionedStreamSize(const SolverBackend& backend, int m,
+                                   const ReadSet* reads) {
+  std::uint64_t size = 0;
+  backend.EnumerateGeneratedFrom(
+      m, 0,
+      [&](const Structure&, std::span<const Elem>, std::uint64_t) {
+        ++size;
+        return true;
+      },
+      EnumControl{nullptr, 0, reads});
+  return size;
 }
 
 bool SameMember(const Member& a, const Structure& s,
@@ -226,6 +241,57 @@ TEST(CursorConformanceTest, ExtensionStreamsPartitionTheJointStream) {
   }
 }
 
+// Stream positions, shard ranges and cursors are taken over the grid's
+// row counts, so each row's count must be exactly the members the
+// enumerator emits for it — with and without a read set.
+TEST(CursorConformanceTest, PrunedRowCountsMatchTheEmittedRows) {
+  Schema unary;
+  unary.AddRelation("p", 1);
+  const SchemaRef unary_schema = MakeSchema(std::move(unary));
+  auto var = [](int v) { return Term::Var(v); };
+  struct Case {
+    SchemaRef schema;
+    int k;
+    std::vector<FormulaRef> guards;  // empty: no read set
+  };
+  const std::vector<Case> cases = {
+      {GraphZooSchema(), 1, {}},
+      {GraphZooSchema(), 1, {Formula::Rel(0, {var(0), var(1)})}},
+      {GraphZooSchema(), 2,
+       {Formula::Rel(0, {var(0), var(3)}),
+        Formula::And(Formula::Rel(0, {var(2), var(1)}),
+                     Formula::Rel(1, {var(3)}))}},
+      {GraphZooSchema(), 2, {Formula::Eq(var(0), var(2))}},
+      {unary_schema, 2, {}},
+      {unary_schema, 2, {Formula::Rel(0, {var(3)})}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Case& tc = cases[c];
+    AllStructuresClass cls(tc.schema);
+    std::optional<ReadSet> reads;
+    if (!tc.guards.empty()) {
+      reads = SubTransitionGraph(tc.guards, tc.k).reads();
+    }
+    const EnumControl ctl{nullptr, 0, reads ? &*reads : nullptr};
+    const int m = 2 * tc.k;
+    const auto rows = cls.RowCounts(m, ctl);
+    // The emitted stream, cut into runs of equal marks: one run per row.
+    std::vector<std::pair<std::vector<Elem>, std::uint64_t>> emitted;
+    cls.EnumerateGeneratedFrom(
+        m, 0,
+        [&](const Structure&, std::span<const Elem> marks, std::uint64_t) {
+          std::vector<Elem> row(marks.begin(), marks.end());
+          if (emitted.empty() || emitted.back().first != row) {
+            emitted.emplace_back(std::move(row), 0);
+          }
+          ++emitted.back().second;
+          return true;
+        },
+        ctl);
+    EXPECT_EQ(emitted, rows) << "case " << c;
+  }
+}
+
 TEST(CursorConformanceTest, AtomCapThrowsStructuredError) {
   AllStructuresClass cls(GraphZooSchema());
   // m=2, d=2: 4 E-bits + 2 red-bits = 6 atoms > cap 3.
@@ -295,10 +361,13 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
   ASSERT_EQ(k, 1);
-  const std::uint64_t initial_total = ReferenceStream(cls, k).size();
-  const std::uint64_t joint_total = ReferenceStream(cls, 2 * k).size();
-
   SubTransitionGraph cold(guards, k);
+  // The joint sweep runs over the stream pruned by the graph's read set.
+  const std::optional<ReadSet> reads = cold.reads();
+  ASSERT_TRUE(reads.has_value());
+  const std::uint64_t initial_total = ReferenceStream(cls, k).size();
+  const std::uint64_t joint_total = PositionedStreamSize(cls, 2 * k, &*reads);
+
   SolveStats cold_stats;
   cold.BuildFull(cls, cold_stats);
   EXPECT_EQ(cold_stats.members_generated, initial_total + joint_total);
@@ -326,7 +395,7 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
         partial.AdvanceCursorTo({kCursorPhaseJoint, pos + 1});
         return true;
       },
-      EnumControl{&partial_stats.members_generated, 0});
+      EnumControl{&partial_stats.members_generated, 0, &*reads});
 
   const std::string key = "cursor-acceptance";
   const std::string bytes = SerializeGraph(partial, key);

