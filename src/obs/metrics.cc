@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace amalgam {
 
@@ -22,24 +21,10 @@ std::string RenderValue(double v) {
   return buf;
 }
 
-const char* KindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-  }
-  return "untyped";
-}
-
-void AppendHeader(std::string& out, const std::string& name,
-                  const std::string& help, MetricKind kind) {
-  out += "# HELP " + name + " " + help + "\n";
-  out += "# TYPE " + name + " ";
-  out += KindName(kind);
-  out += "\n";
+std::string Header(const std::string& name, const std::string& help,
+                   const char* type) {
+  return "# HELP " + name + " " + help + "\n# TYPE " + name + " " + type +
+         "\n";
 }
 
 }  // namespace
@@ -94,152 +79,33 @@ std::vector<double> DefaultLatencyBoundsMs() {
           50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0};
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* const global = new MetricsRegistry();
-  return *global;
+std::string PrometheusScalar(const std::string& name, const std::string& help,
+                             MetricKind kind, double value,
+                             const std::string& labels) {
+  std::string out = Header(name, help,
+                           kind == MetricKind::kCounter ? "counter" : "gauge");
+  out += name;
+  if (!labels.empty()) out += "{" + labels + "}";
+  out += " " + RenderValue(value) + "\n";
+  return out;
 }
 
-void MetricsRegistry::ValidateName(const std::string& name) {
-  auto head = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-           c == ':';
-  };
-  bool ok = !name.empty() && head(name[0]);
-  for (std::size_t i = 1; ok && i < name.size(); ++i) {
-    ok = head(name[i]) || (name[i] >= '0' && name[i] <= '9');
+std::string PrometheusHistogram(const std::string& name,
+                                const std::string& help,
+                                const MetricHistogram& h) {
+  std::string out = Header(name, help, "histogram");
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < h.bounds().size(); ++i) {
+    cumulative += h.bucket_count(i);
+    out += name + "_bucket{le=\"" + RenderValue(h.bounds()[i]) + "\"} " +
+           RenderValue(static_cast<double>(cumulative)) + "\n";
   }
-  if (!ok) {
-    throw std::invalid_argument("invalid metric name: \"" + name + "\"");
-  }
-}
-
-MetricsRegistry::Scalar& MetricsRegistry::ScalarSlot(MetricKind kind,
-                                                     const std::string& name,
-                                                     const std::string& help) {
-  // Caller holds mutex_.
-  auto it = scalars_.find(name);
-  if (it != scalars_.end()) {
-    if (it->second.kind != kind) {
-      throw std::invalid_argument("metric \"" + name +
-                                  "\" already registered with another kind");
-    }
-    return it->second;
-  }
-  ValidateName(name);
-  if (histograms_.count(name)) {
-    throw std::invalid_argument("metric \"" + name +
-                                "\" already registered as a histogram");
-  }
-  Scalar slot;
-  slot.kind = kind;
-  slot.help = help;
-  if (kind == MetricKind::kCounter) {
-    slot.counter = std::make_unique<MetricCounter>();
-  } else {
-    slot.gauge = std::make_unique<MetricGauge>();
-  }
-  return scalars_.emplace(name, std::move(slot)).first->second;
-}
-
-MetricCounter& MetricsRegistry::Counter(const std::string& name,
-                                        const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return *ScalarSlot(MetricKind::kCounter, name, help).counter;
-}
-
-MetricGauge& MetricsRegistry::Gauge(const std::string& name,
-                                    const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return *ScalarSlot(MetricKind::kGauge, name, help).gauge;
-}
-
-MetricHistogram& MetricsRegistry::Histogram(const std::string& name,
-                                            const std::string& help,
-                                            std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) return *it->second.histogram;
-  ValidateName(name);
-  if (scalars_.count(name)) {
-    throw std::invalid_argument("metric \"" + name +
-                                "\" already registered as a scalar");
-  }
-  Hist hist;
-  hist.help = help;
-  hist.histogram = std::make_unique<MetricHistogram>(std::move(bounds));
-  return *histograms_.emplace(name, std::move(hist)).first->second.histogram;
-}
-
-void MetricsRegistry::SetScalar(MetricKind kind, const std::string& name,
-                                const std::string& help, double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Scalar& slot = ScalarSlot(kind, name, help);
-  if (slot.counter) {
-    slot.counter->Set(static_cast<std::uint64_t>(value));
-  } else {
-    slot.gauge->Set(value);
-  }
-}
-
-void MetricsRegistry::SetLabeledGauge(const std::string& name,
-                                      const std::string& help,
-                                      const std::string& labels,
-                                      double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Scalar& slot = ScalarSlot(MetricKind::kGauge, name, help);
-  slot.labels = labels;
-  slot.gauge->Set(value);
-}
-
-std::vector<std::string> MetricsRegistry::MetricNames() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(scalars_.size() + histograms_.size());
-  for (const auto& [name, slot] : scalars_) names.push_back(name);
-  for (const auto& [name, hist] : histograms_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-std::string MetricsRegistry::RenderPrometheus() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  // Interleave the two sorted maps so the whole exposition is sorted by
-  // metric name regardless of kind.
-  auto s_it = scalars_.begin();
-  auto h_it = histograms_.begin();
-  while (s_it != scalars_.end() || h_it != histograms_.end()) {
-    const bool take_scalar =
-        h_it == histograms_.end() ||
-        (s_it != scalars_.end() && s_it->first < h_it->first);
-    if (take_scalar) {
-      const auto& [name, slot] = *s_it++;
-      AppendHeader(out, name, slot.help, slot.kind);
-      out += name;
-      if (!slot.labels.empty()) out += "{" + slot.labels + "}";
-      out += " ";
-      out += RenderValue(slot.counter
-                             ? static_cast<double>(slot.counter->value())
-                             : slot.gauge->value());
-      out += "\n";
-    } else {
-      const auto& [name, hist] = *h_it++;
-      const MetricHistogram& h = *hist.histogram;
-      AppendHeader(out, name, hist.help, MetricKind::kHistogram);
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-        cumulative += h.bucket_count(i);
-        out += name + "_bucket{le=\"" + RenderValue(h.bounds()[i]) + "\"} " +
-               RenderValue(static_cast<double>(cumulative)) + "\n";
-      }
-      cumulative += h.bucket_count(h.bounds().size());
-      out += name + "_bucket{le=\"+Inf\"} " +
-             RenderValue(static_cast<double>(cumulative)) + "\n";
-      out += name + "_sum " + RenderValue(h.sum()) + "\n";
-      out += name + "_count " +
-             RenderValue(static_cast<double>(h.count())) + "\n";
-    }
-  }
+  cumulative += h.bucket_count(h.bounds().size());
+  out += name + "_bucket{le=\"+Inf\"} " +
+         RenderValue(static_cast<double>(cumulative)) + "\n";
+  out += name + "_sum " + RenderValue(h.sum()) + "\n";
+  out += name + "_count " + RenderValue(static_cast<double>(h.count())) +
+         "\n";
   return out;
 }
 

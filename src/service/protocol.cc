@@ -535,6 +535,46 @@ std::string FormatStatsResponse(const ProtocolRequest& request,
   return CloseObject(std::move(out));
 }
 
+std::string FormatMetricsExposition(const ServiceStats& stats,
+                                    const MetricHistogram& query_latency,
+                                    const MetricHistogram& queue_wait) {
+  // One text block per metric, keyed by name and sorted below, so the
+  // exposition is ordered by metric name whatever the kind. The scalars
+  // come from the same field list as the stats op; the kind token pastes
+  // onto MetricKind::k.
+  std::vector<std::pair<std::string, std::string>> blocks;
+#define AMALGAM_RENDER_STAT_FIELD(field, kind, help)            \
+  blocks.emplace_back("amalgam_" #field,                         \
+                      PrometheusScalar("amalgam_" #field, help,  \
+                                       MetricKind::k##kind,      \
+                                       static_cast<double>(stats.field)));
+  AMALGAM_SERVICE_STATS_FIELDS(AMALGAM_RENDER_STAT_FIELD)
+#undef AMALGAM_RENDER_STAT_FIELD
+  blocks.emplace_back(
+      "amalgam_build_info",
+      PrometheusScalar("amalgam_build_info",
+                       "Build metadata; the value is always 1",
+                       MetricKind::kGauge, 1.0,
+                       std::string("build_type=\"") + AmalgamBuildType() +
+                           "\",version=\"" + AmalgamVersion() + "\""));
+  blocks.emplace_back(
+      "amalgam_query_latency_ms",
+      PrometheusHistogram(
+          "amalgam_query_latency_ms",
+          "Query latency from worker pickup to verdict, milliseconds",
+          query_latency));
+  blocks.emplace_back(
+      "amalgam_queue_wait_ms",
+      PrometheusHistogram(
+          "amalgam_queue_wait_ms",
+          "Queue wait from submit to worker pickup, milliseconds",
+          queue_wait));
+  std::sort(blocks.begin(), blocks.end());
+  std::string out;
+  for (const auto& block : blocks) out += block.second;
+  return out;
+}
+
 std::string FormatMetricsResponse(const ProtocolRequest& request,
                                   const std::string& body) {
   std::string out = ResponseHead(request);
@@ -581,21 +621,6 @@ std::string FormatRecentResponse(const ProtocolRequest& request,
   }
   out += "],";
   return CloseObject(std::move(out));
-}
-
-void ExportServiceStats(const ServiceStats& stats, MetricsRegistry& registry) {
-  // Mechanical: one registry scalar per struct field, same name prefix as
-  // the stats op's JSON member. The kind token pastes onto MetricKind::k.
-#define AMALGAM_EXPORT_STAT_FIELD(field, kind, help)        \
-  registry.SetScalar(MetricKind::k##kind, "amalgam_" #field, \
-                     help, static_cast<double>(stats.field));
-  AMALGAM_SERVICE_STATS_FIELDS(AMALGAM_EXPORT_STAT_FIELD)
-#undef AMALGAM_EXPORT_STAT_FIELD
-  registry.SetLabeledGauge(
-      "amalgam_build_info", "Build metadata; the value is always 1",
-      std::string("build_type=\"") + AmalgamBuildType() + "\",version=\"" +
-          AmalgamVersion() + "\"",
-      1.0);
 }
 
 std::string FormatSweepResponse(const ProtocolRequest& request,

@@ -29,11 +29,11 @@
 // *Admin* lines select an op instead: {"op":"stats"}, {"op":"sweep",
 // "max_bytes":N,"max_files":N}, {"op":"maintain"} (one synchronous
 // maintenance pass: complete partials, sweep — needs a daemon
-// with a store attached), {"op":"metrics"} (the full metrics registry in
-// Prometheus text format, JSON-escaped in the response's "body"),
-// {"op":"recent"} (the bounded ring of recent query summaries),
-// {"op":"drain"}, {"op":"shutdown"}. metrics/recent are cheap snapshots:
-// they do not drain the service first.
+// with a store attached), {"op":"metrics"} (one stats snapshot and the
+// service's histograms in Prometheus text format, JSON-escaped in the
+// response's "body"), {"op":"recent"} (the bounded ring of recent query
+// summaries), {"op":"drain"}, {"op":"shutdown"}. metrics/recent are
+// cheap snapshots: they do not drain the service first.
 //
 // Responses echo the request's "id" verbatim and always carry "ok";
 // failures report {"ok":false,"error":"..."} and never kill the loop.
@@ -110,13 +110,21 @@ std::string FormatQueryResponse(const ProtocolRequest& request,
                                 const QueryResult& result);
 std::string FormatStatsResponse(const ProtocolRequest& request,
                                 const ServiceStats& stats);
+/// The Prometheus text exposition of one stats snapshot: every
+/// ServiceStats field as an "amalgam_<field>" counter or gauge (generated
+/// from AMALGAM_SERVICE_STATS_FIELDS, like the stats op), the
+/// amalgam_build_info labeled gauge, and the service's two histograms,
+/// sorted by metric name. Pure: it reads only its arguments.
+std::string FormatMetricsExposition(const ServiceStats& stats,
+                                    const MetricHistogram& query_latency,
+                                    const MetricHistogram& queue_wait);
 std::string FormatSweepResponse(const ProtocolRequest& request,
                                 const StoreSweepResult& result);
 /// One pass's work plus the loop's cumulative counters.
 std::string FormatMaintainResponse(const ProtocolRequest& request,
                                    const MaintenancePassResult& pass,
                                    const MaintenanceStats& stats);
-/// The {"op":"metrics"} response: `body` (RenderPrometheus output) is
+/// The {"op":"metrics"} response: `body` (RenderMetrics output) is
 /// carried JSON-escaped next to its content type, so the op replays
 /// through the same JSONL loop as everything else.
 std::string FormatMetricsResponse(const ProtocolRequest& request,
@@ -124,12 +132,6 @@ std::string FormatMetricsResponse(const ProtocolRequest& request,
 /// The {"op":"recent"} response: the ring entries oldest first.
 std::string FormatRecentResponse(const ProtocolRequest& request,
                                  const std::vector<RecentQuery>& entries);
-/// Snapshots every ServiceStats field into `registry` as an
-/// "amalgam_<field>" counter/gauge (generated from
-/// AMALGAM_SERVICE_STATS_FIELDS, so a new stats counter is exported
-/// automatically), plus the amalgam_build_info labeled gauge. Called at
-/// scrape time by both the metrics op and the --metrics-tcp endpoint.
-void ExportServiceStats(const ServiceStats& stats, MetricsRegistry& registry);
 std::string FormatDrainResponse(const ProtocolRequest& request,
                                 const ServiceStats& stats);
 std::string FormatShutdownResponse(const ProtocolRequest& request,

@@ -153,12 +153,12 @@ struct RecentQuery {
 
 // The ServiceStats counter fields, one X(name, kind, help) per uint64
 // member. This list is the single source of truth: the struct members,
-// the stats-op JSON fields, and the Prometheus export
-// (ExportServiceStats, metric name "amalgam_<field>") are all generated
-// from it, and the static_assert below pins sizeof(ServiceStats) to the
-// macro's field count — adding a uint64 counter to the struct without
-// routing it through this list does not compile, so a new counter can
-// never silently skip the registry or the exposition. `kind` is the
+// the stats-op JSON fields, and the Prometheus exposition
+// (FormatMetricsExposition, metric name "amalgam_<field>") are all
+// generated from it, and the static_assert below pins sizeof(ServiceStats)
+// to the macro's field count — adding a uint64 counter to the struct
+// without routing it through this list does not compile, so a new counter
+// can never silently skip the stats op or the exposition. `kind` is the
 // Prometheus type: Counter (monotone total) or Gauge (point-in-time).
 #define AMALGAM_SERVICE_STATS_FIELDS(X)                                        \
   X(queries, Counter, "Completed queries (ok or failed)")                      \
@@ -231,7 +231,7 @@ inline constexpr std::size_t kServiceStatsCounterFields = 0
 // has no padding and its size is exactly the field count): a counter
 // added as a bare member changes sizeof without changing the macro count
 // and fails here. Route it through the macro instead — that is what
-// feeds the stats op and the metrics registry.
+// feeds the stats op and the metrics exposition.
 static_assert(sizeof(ServiceStats) ==
                   kServiceStatsCounterFields * sizeof(std::uint64_t) +
                       3 * sizeof(double),

@@ -86,19 +86,6 @@ QueryService::QueryService(Options options)
     cache_.AttachStore(options_.store_dir);
     attached_store_dir_ = options_.store_dir;
   }
-  metrics_ = options_.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  latency_hist_ = &metrics_->Histogram(
-      "amalgam_query_latency_ms",
-      "Query latency from worker pickup to verdict, milliseconds",
-      DefaultLatencyBoundsMs());
-  queue_wait_hist_ = &metrics_->Histogram(
-      "amalgam_queue_wait_ms",
-      "Queue wait from submit to worker pickup, milliseconds",
-      DefaultLatencyBoundsMs());
   workers_.reserve(options_.num_workers);
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -348,8 +335,8 @@ QueryResult QueryService::Execute(Task& task) {
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
-  latency_hist_->Observe(result.latency_ms);
-  queue_wait_hist_->Observe(std::chrono::duration<double, std::milli>(
+  latency_hist_.Observe(result.latency_ms);
+  queue_wait_hist_.Observe(std::chrono::duration<double, std::milli>(
                                 start - task.submitted_at)
                                 .count());
   RecentQuery entry;
@@ -476,9 +463,9 @@ ServiceStats QueryService::Stats() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_time_)
           .count());
-  stats.p50_latency_ms = latency_hist_->Quantile(0.50);
-  stats.p95_latency_ms = latency_hist_->Quantile(0.95);
-  stats.p99_latency_ms = latency_hist_->Quantile(0.99);
+  stats.p50_latency_ms = latency_hist_.Quantile(0.50);
+  stats.p95_latency_ms = latency_hist_.Quantile(0.95);
+  stats.p99_latency_ms = latency_hist_.Quantile(0.99);
   return stats;
 }
 

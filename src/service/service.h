@@ -85,11 +85,6 @@ class QueryService {
     /// that wrote to the store (0 = unlimited).
     std::uint64_t store_max_bytes = 0;
     std::uint64_t store_max_files = 0;
-    /// The registry the service's latency/queue-wait histograms live in
-    /// (amalgamd passes &MetricsRegistry::Global()). Null — the default —
-    /// gives the service a private registry, so embedded services and
-    /// tests never pollute process-global metric state.
-    MetricsRegistry* metrics = nullptr;
     /// Completed queries remembered by the recent-query ring (Recent(),
     /// the {"op":"recent"} admin op). 0 disables the ring.
     std::size_t recent_capacity = 128;
@@ -137,13 +132,16 @@ class QueryService {
   /// Aggregated counters + latency percentiles; safe to call concurrently
   /// with running queries (cache counters are atomics, service counters
   /// are snapshotted under the stats lock). Percentiles come from the
-  /// registry's latency histogram over every completion since startup.
+  /// latency histogram over every completion since startup.
   ServiceStats Stats() const;
 
-  /// The registry holding this service's live histograms (and, in
-  /// amalgamd, every exported counter): Options::metrics, or the private
-  /// per-service registry when none was supplied.
-  MetricsRegistry& metrics() { return *metrics_; }
+  /// Worker-pickup-to-verdict latency and submit-to-pickup queue wait of
+  /// every completion since startup, in milliseconds (the scrape renders
+  /// both; Stats() derives its percentiles from the first).
+  const MetricHistogram& latency_histogram() const { return latency_hist_; }
+  const MetricHistogram& queue_wait_histogram() const {
+    return queue_wait_hist_;
+  }
 
   /// The most recent completions, oldest first (bounded by
   /// Options::recent_capacity) — the {"op":"recent"} slow-query log.
@@ -265,13 +263,8 @@ class QueryService {
   std::deque<RecentQuery> recent_;
   std::uint64_t recent_seq_ = 0;
 
-  // Options::metrics, or owned_metrics_ when none was supplied. The
-  // histograms are registry-owned; the pointers are hot-path shortcuts
-  // resolved once in the constructor.
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
-  MetricHistogram* latency_hist_ = nullptr;
-  MetricHistogram* queue_wait_hist_ = nullptr;
+  MetricHistogram latency_hist_{DefaultLatencyBoundsMs()};
+  MetricHistogram queue_wait_hist_{DefaultLatencyBoundsMs()};
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
 

@@ -93,9 +93,9 @@ void Session::PushRendered(std::string line) {
 std::string RenderMetrics(QueryService& service,
                           const ConnectionCounters* counters,
                           const MaintenanceLoop* maintenance) {
-  ExportServiceStats(DaemonStats(service, counters, maintenance),
-                     service.metrics());
-  return service.metrics().RenderPrometheus();
+  return FormatMetricsExposition(DaemonStats(service, counters, maintenance),
+                                 service.latency_histogram(),
+                                 service.queue_wait_histogram());
 }
 
 ServiceStats Session::SnapshotStats() const {

@@ -54,12 +54,13 @@ struct ConnectionCounters {
   std::atomic<std::uint64_t> overload_rejections{0};  // across all clients
 };
 
-/// One Prometheus scrape: the daemon-wide stats — service.Stats() plus the
-/// transport's connection counters and the maintenance loop's (either may
-/// be null), per-connection fields zero — exported into the service's
-/// metrics registry, then the registry rendered. A cheap snapshot that
-/// never drains or waits on a query; {"op":"metrics"} and the
-/// --metrics-tcp listener (net/server.h) both serve exactly this text.
+/// One Prometheus scrape: one snapshot of the daemon-wide stats —
+/// service.Stats() plus the transport's connection counters and the
+/// maintenance loop's (either may be null), per-connection fields zero —
+/// rendered with the service's histograms by FormatMetricsExposition.
+/// Concurrent scrapes share no state. A cheap snapshot that never drains
+/// or waits on a query; {"op":"metrics"} and the --metrics-tcp listener
+/// (net/server.h) both serve exactly this text.
 std::string RenderMetrics(QueryService& service,
                           const ConnectionCounters* counters,
                           const MaintenanceLoop* maintenance);
@@ -89,8 +90,8 @@ class Session {
   /// request order. Must not re-enter the Session.
   using Emit = std::function<void(const std::string& line)>;
 
-  /// `counters` (optional) is the daemon-wide registry this session
-  /// reports into; it must outlive the session.
+  /// `counters` (optional) are the daemon-wide connection counters this
+  /// session reports into; they must outlive the session.
   Session(QueryService& service, Options options, Emit emit,
           ConnectionCounters* counters = nullptr);
   /// Flushes every pending response, then joins the writer. Blocks until

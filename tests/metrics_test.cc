@@ -1,23 +1,30 @@
 // Tests for the metrics surface: histogram bucket math and quantile
-// interpolation, registry find-or-register semantics, the Prometheus
-// text renderer, ExportServiceStats completeness (every ServiceStats
-// field reaches the registry — generated from the same X-macro as the
-// struct, so the check cannot rot), the service's histogram-backed
-// latency quantiles, and the {"op":"metrics"}/{"op":"recent"} admin ops.
+// interpolation, the Prometheus text helpers, FormatMetricsExposition
+// completeness (every ServiceStats field reaches the exposition —
+// generated from the same X-macro as the struct, so the check cannot rot)
+// and its whole text pinned byte for byte, the service's histogram-backed
+// latency quantiles, concurrent scrapes that each render one snapshot,
+// and the {"op":"metrics"}/{"op":"recent"} admin ops.
 // The --metrics-tcp HTTP scrape is tested over a real socket in
 // daemon_net_test.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
-#include <thread>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fraisse/relational.h"
+#include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/json.h"
@@ -58,31 +65,20 @@ TEST(MetricHistogramTest, QuantilesInterpolateAndClamp) {
       << "overflow observations clamp to the largest finite boundary";
 }
 
-TEST(MetricsRegistryTest, FindOrRegisterReturnsStableSlots) {
-  MetricsRegistry registry;
-  MetricCounter& a = registry.Counter("amalgam_test_total", "help");
-  MetricCounter& b = registry.Counter("amalgam_test_total", "help");
-  EXPECT_EQ(&a, &b);
-  a.Add(3);
-  EXPECT_EQ(b.value(), 3u);
-  EXPECT_THROW(registry.Gauge("amalgam_test_total", "help"),
-               std::invalid_argument)
-      << "one name, one kind";
-  EXPECT_THROW(registry.Counter("0bad name", "help"), std::invalid_argument);
-}
-
-TEST(MetricsRegistryTest, RenderPrometheusTextFormat) {
-  MetricsRegistry registry;
-  registry.Counter("amalgam_widgets_total", "Widgets made").Add(7);
-  registry.Gauge("amalgam_depth", "Current depth").Set(2.5);
-  MetricHistogram& hist =
-      registry.Histogram("amalgam_lat_ms", "Latency", {1.0, 10.0});
+TEST(MetricsExpositionTest, RenderPrometheusTextFormat) {
+  MetricHistogram hist({1.0, 10.0});
   hist.Observe(0.5);
   hist.Observe(5.0);
   hist.Observe(50.0);
-  registry.SetLabeledGauge("amalgam_build_info", "Build metadata",
-                           "build_type=\"Release\",version=\"0.0.0\"", 1.0);
-  const std::string text = registry.RenderPrometheus();
+  const std::string text =
+      PrometheusScalar("amalgam_widgets_total", "Widgets made",
+                       MetricKind::kCounter, 7) +
+      PrometheusScalar("amalgam_depth", "Current depth", MetricKind::kGauge,
+                       2.5) +
+      PrometheusHistogram("amalgam_lat_ms", "Latency", hist) +
+      PrometheusScalar("amalgam_build_info", "Build metadata",
+                       MetricKind::kGauge, 1.0,
+                       "build_type=\"Release\",version=\"0.0.0\"");
 
   EXPECT_NE(text.find("# HELP amalgam_widgets_total Widgets made\n"
                       "# TYPE amalgam_widgets_total counter\n"
@@ -109,16 +105,16 @@ TEST(MetricsRegistryTest, RenderPrometheusTextFormat) {
       << text;
 }
 
-TEST(MetricsRegistryTest, ExportServiceStatsCoversEveryField) {
+TEST(MetricsExpositionTest, ExpositionCoversEveryField) {
   // Generated from the same X-macro that defines the struct: adding a
   // ServiceStats field without a help string fails to compile, and every
   // field must surface in the rendered exposition.
-  MetricsRegistry registry;
   ServiceStats stats;
   stats.queries = 11;
   stats.cache_hits = 5;
-  ExportServiceStats(stats, registry);
-  const std::string text = registry.RenderPrometheus();
+  const MetricHistogram latency(DefaultLatencyBoundsMs());
+  const MetricHistogram queue_wait(DefaultLatencyBoundsMs());
+  const std::string text = FormatMetricsExposition(stats, latency, queue_wait);
 
 #define AMALGAM_CHECK_STAT_FIELD(field, kind, help)                    \
   EXPECT_NE(text.find("# TYPE amalgam_" #field " "), std::string::npos) \
@@ -133,6 +129,174 @@ TEST(MetricsRegistryTest, ExportServiceStatsCoversEveryField) {
   EXPECT_NE(text.find("amalgam_build_info{"), std::string::npos);
 }
 
+// The whole exposition for fixed inputs, byte for byte: names, HELP/TYPE
+// text, the name-sorted interleaving of scalars and histograms, the
+// build_info label body and the number formatting (integers plain, the
+// rest %.17g). The literal was produced by the registry-based exporter
+// this renderer replaced, on the same inputs; @LABELS@ stands for the
+// build's own build_info label body.
+constexpr char kGoldenExposition[] = R"golden(# HELP amalgam_build_info Build metadata; the value is always 1
+# TYPE amalgam_build_info gauge
+amalgam_build_info{@LABELS@} 1
+# HELP amalgam_cache_evictions Memory-tier LRU evictions
+# TYPE amalgam_cache_evictions counter
+amalgam_cache_evictions 370
+# HELP amalgam_cache_hits Graph cache hits (memory or promoted store load)
+# TYPE amalgam_cache_hits counter
+amalgam_cache_hits 296
+# HELP amalgam_cache_misses Graph cache misses
+# TYPE amalgam_cache_misses counter
+amalgam_cache_misses 333
+# HELP amalgam_coalesced_joins Queries that waited on another query's build
+# TYPE amalgam_coalesced_joins counter
+amalgam_coalesced_joins 111
+# HELP amalgam_conn_id Connection id of the asking client (stats op only)
+# TYPE amalgam_conn_id gauge
+amalgam_conn_id 851
+# HELP amalgam_conn_rejected_overload The asking connection's refused query lines
+# TYPE amalgam_conn_rejected_overload counter
+amalgam_conn_rejected_overload 925
+# HELP amalgam_conn_requests Lines the asking connection has sent
+# TYPE amalgam_conn_requests counter
+amalgam_conn_requests 888
+# HELP amalgam_connections_open Currently connected clients
+# TYPE amalgam_connections_open gauge
+amalgam_connections_open 740
+# HELP amalgam_connections_opened Connections accepted since startup
+# TYPE amalgam_connections_opened counter
+amalgam_connections_opened 777
+# HELP amalgam_failed Queries completed with an error
+# TYPE amalgam_failed counter
+amalgam_failed 74
+# HELP amalgam_maintenance_passes Maintenance passes completed
+# TYPE amalgam_maintenance_passes counter
+amalgam_maintenance_passes 962
+# HELP amalgam_members_enumerated Members delivered to the guard sweep, all completed queries
+# TYPE amalgam_members_enumerated counter
+amalgam_members_enumerated 666
+# HELP amalgam_members_generated Members materialized by the backends, all completed queries
+# TYPE amalgam_members_generated counter
+amalgam_members_generated 1.152921504606847e+18
+# HELP amalgam_overload_rejections Query lines refused by per-connection inflight caps, all clients
+# TYPE amalgam_overload_rejections counter
+amalgam_overload_rejections 814
+# HELP amalgam_partials_completed Partial store entries driven to completion by maintenance
+# TYPE amalgam_partials_completed counter
+amalgam_partials_completed 999
+# HELP amalgam_pending Queries accepted but not yet finished
+# TYPE amalgam_pending gauge
+amalgam_pending 259
+# HELP amalgam_prewarm_loads Graphs promoted into memory by startup prewarm
+# TYPE amalgam_prewarm_loads counter
+amalgam_prewarm_loads 1036
+# HELP amalgam_queries Completed queries (ok or failed)
+# TYPE amalgam_queries counter
+amalgam_queries 37
+# HELP amalgam_query_latency_ms Query latency from worker pickup to verdict, milliseconds
+# TYPE amalgam_query_latency_ms histogram
+amalgam_query_latency_ms_bucket{le="0.050000000000000003"} 1
+amalgam_query_latency_ms_bucket{le="0.10000000000000001"} 1
+amalgam_query_latency_ms_bucket{le="0.25"} 1
+amalgam_query_latency_ms_bucket{le="0.5"} 3
+amalgam_query_latency_ms_bucket{le="1"} 3
+amalgam_query_latency_ms_bucket{le="2.5"} 3
+amalgam_query_latency_ms_bucket{le="5"} 3
+amalgam_query_latency_ms_bucket{le="10"} 4
+amalgam_query_latency_ms_bucket{le="25"} 4
+amalgam_query_latency_ms_bucket{le="50"} 4
+amalgam_query_latency_ms_bucket{le="100"} 4
+amalgam_query_latency_ms_bucket{le="250"} 4
+amalgam_query_latency_ms_bucket{le="500"} 4
+amalgam_query_latency_ms_bucket{le="1000"} 4
+amalgam_query_latency_ms_bucket{le="2500"} 4
+amalgam_query_latency_ms_bucket{le="5000"} 4
+amalgam_query_latency_ms_bucket{le="10000"} 4
+amalgam_query_latency_ms_bucket{le="+Inf"} 5
+amalgam_query_latency_ms_sum 12008.120000000001
+amalgam_query_latency_ms_count 5
+# HELP amalgam_queue_wait_ms Queue wait from submit to worker pickup, milliseconds
+# TYPE amalgam_queue_wait_ms histogram
+amalgam_queue_wait_ms_bucket{le="0.050000000000000003"} 1
+amalgam_queue_wait_ms_bucket{le="0.10000000000000001"} 1
+amalgam_queue_wait_ms_bucket{le="0.25"} 1
+amalgam_queue_wait_ms_bucket{le="0.5"} 1
+amalgam_queue_wait_ms_bucket{le="1"} 2
+amalgam_queue_wait_ms_bucket{le="2.5"} 3
+amalgam_queue_wait_ms_bucket{le="5"} 3
+amalgam_queue_wait_ms_bucket{le="10"} 3
+amalgam_queue_wait_ms_bucket{le="25"} 3
+amalgam_queue_wait_ms_bucket{le="50"} 3
+amalgam_queue_wait_ms_bucket{le="100"} 3
+amalgam_queue_wait_ms_bucket{le="250"} 3
+amalgam_queue_wait_ms_bucket{le="500"} 3
+amalgam_queue_wait_ms_bucket{le="1000"} 3
+amalgam_queue_wait_ms_bucket{le="2500"} 3
+amalgam_queue_wait_ms_bucket{le="5000"} 3
+amalgam_queue_wait_ms_bucket{le="10000"} 3
+amalgam_queue_wait_ms_bucket{le="+Inf"} 3
+amalgam_queue_wait_ms_sum 3.5499999999999998
+amalgam_queue_wait_ms_count 3
+# HELP amalgam_resume_coalesced Queries that waited on another query's resume
+# TYPE amalgam_resume_coalesced counter
+amalgam_resume_coalesced 222
+# HELP amalgam_resume_leads Queries that owned a partial-entry extension
+# TYPE amalgam_resume_leads counter
+amalgam_resume_leads 185
+# HELP amalgam_single_flight_leads Queries that owned a single-flight build
+# TYPE amalgam_single_flight_leads counter
+amalgam_single_flight_leads 148
+# HELP amalgam_spec_memo_entries Prepared query lines the spec memo holds
+# TYPE amalgam_spec_memo_entries gauge
+amalgam_spec_memo_entries 1110
+# HELP amalgam_spec_memo_hits Query lines served a prepared query by the spec memo (no parse)
+# TYPE amalgam_spec_memo_hits counter
+amalgam_spec_memo_hits 1073
+# HELP amalgam_store_load_failures Store files present but unreadable (fell back to a fresh build)
+# TYPE amalgam_store_load_failures counter
+amalgam_store_load_failures 444
+# HELP amalgam_store_loads Graphs deserialized from the disk tier
+# TYPE amalgam_store_loads counter
+amalgam_store_loads 407
+# HELP amalgam_store_save_skips Store saves refused by the progress guard
+# TYPE amalgam_store_save_skips counter
+amalgam_store_save_skips 518
+# HELP amalgam_store_sweep_bytes_removed Bytes removed by disk-tier sweeps
+# TYPE amalgam_store_sweep_bytes_removed counter
+amalgam_store_sweep_bytes_removed 629
+# HELP amalgam_store_sweep_files_removed Files removed by disk-tier sweeps
+# TYPE amalgam_store_sweep_files_removed counter
+amalgam_store_sweep_files_removed 592
+# HELP amalgam_store_sweeps Disk-tier sweep passes that enforced a cap
+# TYPE amalgam_store_sweeps counter
+amalgam_store_sweeps 555
+# HELP amalgam_store_writes Graphs written through to the disk tier
+# TYPE amalgam_store_writes counter
+amalgam_store_writes 481
+# HELP amalgam_uptime_ms Milliseconds since the service started
+# TYPE amalgam_uptime_ms gauge
+amalgam_uptime_ms 1147
+)golden";
+
+TEST(MetricsExpositionTest, GoldenExposition) {
+  ServiceStats stats;
+  std::uint64_t next = 0;
+#define AMALGAM_SET_STAT_FIELD(field, kind, help) stats.field = ++next * 37;
+  AMALGAM_SERVICE_STATS_FIELDS(AMALGAM_SET_STAT_FIELD)
+#undef AMALGAM_SET_STAT_FIELD
+  stats.members_generated = std::uint64_t{1} << 60;  // the %.17g path
+  MetricHistogram latency(DefaultLatencyBoundsMs());
+  for (double v : {0.02, 0.3, 0.3, 7.5, 12000.0}) latency.Observe(v);
+  MetricHistogram queue_wait(DefaultLatencyBoundsMs());
+  for (double v : {0.05, 1.0, 2.5}) queue_wait.Observe(v);
+
+  std::string expected = kGoldenExposition;
+  const std::string placeholder = "@LABELS@";
+  expected.replace(expected.find(placeholder), placeholder.size(),
+                   std::string("build_type=\"") + AmalgamBuildType() +
+                       "\",version=\"" + AmalgamVersion() + "\"");
+  EXPECT_EQ(FormatMetricsExposition(stats, latency, queue_wait), expected);
+}
+
 QueryRequest ReachRedRequest() {
   QueryRequest request;
   request.kind = QueryKind::kSystem;
@@ -142,10 +306,7 @@ QueryRequest ReachRedRequest() {
 }
 
 TEST(MetricsServiceTest, LatencyQuantilesComeFromTheHistogram) {
-  MetricsRegistry registry;
-  QueryService::Options options;
-  options.metrics = &registry;
-  QueryService service(options);
+  QueryService service(QueryService::Options{});
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(service.Submit(ReachRedRequest()).get().ok);
   }
@@ -160,13 +321,112 @@ TEST(MetricsServiceTest, LatencyQuantilesComeFromTheHistogram) {
   EXPECT_LE(stats.p95_latency_ms, stats.p99_latency_ms);
   EXPECT_GT(stats.uptime_ms, 0u);
 
-  // The service's live histograms registered into the injected registry.
-  const std::string text = registry.RenderPrometheus();
+  // The scrape renders the service's own histograms.
+  EXPECT_EQ(service.latency_histogram().count(), 4u);
+  const std::string text = RenderMetrics(service, nullptr, nullptr);
   EXPECT_NE(text.find("amalgam_query_latency_ms_count 4\n"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("amalgam_queue_wait_ms_count 4\n"), std::string::npos)
       << text;
+}
+
+// The sample of every `# TYPE <name> counter` metric in one scrape body,
+// and how many TYPE lines name each metric.
+struct ScrapeView {
+  std::map<std::string, double> counters;
+  std::map<std::string, int> type_lines;
+};
+
+ScrapeView ParseScrape(const std::string& body) {
+  ScrapeView view;
+  std::istringstream in(body);
+  std::string line;
+  std::string counter;  // the counter whose sample line comes next
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::size_t space = line.find(' ', 7);
+      const std::string name = line.substr(7, space - 7);
+      ++view.type_lines[name];
+      counter = line.substr(space + 1) == "counter" ? name : "";
+    } else if (!counter.empty() && line.rfind(counter + " ", 0) == 0) {
+      view.counters[counter] = std::stod(line.substr(counter.size() + 1));
+      counter.clear();
+    }
+  }
+  return view;
+}
+
+TEST(MetricsServiceTest, EachScrapeRendersOneSnapshot) {
+  // Four scrapers race queries completing on the service. A scrape is one
+  // snapshot that no other scrape writes into, so within one thread no
+  // counter ever reads lower than in that thread's previous scrape, and
+  // every body names every metric exactly once.
+  QueryService::Options options;
+  options.num_workers = 2;
+  QueryService service(options);
+  std::set<std::string> names = {"amalgam_build_info",
+                                 "amalgam_query_latency_ms",
+                                 "amalgam_queue_wait_ms"};
+#define AMALGAM_NAME_STAT_FIELD(field, kind, help) \
+  names.insert("amalgam_" #field);
+  AMALGAM_SERVICE_STATS_FIELDS(AMALGAM_NAME_STAT_FIELD)
+#undef AMALGAM_NAME_STAT_FIELD
+
+  std::atomic<bool> done{false};
+  std::thread load([&] {
+    while (!done.load()) {
+      std::vector<std::future<QueryResult>> batch;
+      for (int i = 0; i < 8; ++i) {
+        batch.push_back(service.Submit(ReachRedRequest()));
+      }
+      for (auto& result : batch) ASSERT_TRUE(result.get().ok);
+    }
+  });
+
+  constexpr int kScrapers = 4;
+  constexpr int kScrapes = 200;
+  // Each scraper's first failure, "" when it saw none.
+  std::vector<std::string> failures(kScrapers);
+  std::vector<std::thread> scrapers;
+  for (int t = 0; t < kScrapers; ++t) {
+    scrapers.emplace_back([&, t] {
+      std::map<std::string, double> last;
+      for (int i = 0; i < kScrapes && failures[t].empty(); ++i) {
+        const ScrapeView view =
+            ParseScrape(RenderMetrics(service, nullptr, nullptr));
+        for (const std::string& name : names) {
+          const auto it = view.type_lines.find(name);
+          const int seen = it == view.type_lines.end() ? 0 : it->second;
+          if (seen != 1) {
+            failures[t] = "scrape " + std::to_string(i) + " names " + name +
+                          " " + std::to_string(seen) + " times";
+          }
+        }
+        if (view.type_lines.size() != names.size()) {
+          failures[t] = "scrape " + std::to_string(i) + " names " +
+                        std::to_string(view.type_lines.size()) + " metrics";
+        }
+        for (const auto& [name, value] : view.counters) {
+          const auto prev = last.find(name);
+          if (prev != last.end() && value < prev->second) {
+            failures[t] = "scrape " + std::to_string(i) + ": " + name +
+                          " fell from " + std::to_string(prev->second) +
+                          " to " + std::to_string(value);
+          }
+          last[name] = value;
+        }
+      }
+    });
+  }
+  for (std::thread& scraper : scrapers) scraper.join();
+  done.store(true);
+  load.join();
+
+  for (int t = 0; t < kScrapers; ++t) {
+    EXPECT_EQ(failures[t], "") << "scraper " << t;
+  }
+  EXPECT_GT(service.Stats().queries, 0u);
 }
 
 TEST(MetricsServiceTest, RecentRingIsBoundedOldestOut) {

@@ -24,11 +24,12 @@
 // flushing every client.
 //
 // Observability (docs/OBSERVABILITY.md): every query accepts
-// `"trace":true` and returns its span tree in-band; the process-global
-// metrics registry is scraped via {"op":"metrics"} on any transport, or
-// over plain HTTP with --metrics-tcp PORT: one more loopback listener on
-// the same event loop, which in stdio mode runs just for it. A scraper
-// that connects and sends nothing blocks no other scrape and no shutdown.
+// `"trace":true` and returns its span tree in-band; one stats snapshot,
+// rendered as Prometheus text, is scraped via {"op":"metrics"} on any
+// transport, or over plain HTTP with --metrics-tcp PORT: one more loopback
+// listener on the same event loop, which in stdio mode runs just for it. A
+// scraper that connects and sends nothing blocks no other scrape and no
+// shutdown.
 //
 //   printf '%s\n' \
 //     '{"id":1,"kind":"system","class":"all","system":"reach_red"}' \
@@ -46,7 +47,6 @@
 #include <string>
 
 #include "net/server.h"
-#include "obs/metrics.h"
 #include "service/maintenance.h"
 #include "service/service.h"
 #include "service/session.h"
@@ -86,8 +86,8 @@ void PrintUsage(const char* argv0) {
       "                          promoting persisted graphs into memory\n"
       "\n"
       "observability (see docs/OBSERVABILITY.md):\n"
-      "  --metrics-tcp PORT      serve the metrics registry as a Prometheus\n"
-      "                          text endpoint on http://127.0.0.1:PORT\n"
+      "  --metrics-tcp PORT      serve the metrics as a Prometheus text\n"
+      "                          endpoint on http://127.0.0.1:PORT\n"
       "                          (0 = ephemeral; the bound port is printed\n"
       "                          to stderr; works with any transport)\n"
       "\n"
@@ -293,11 +293,7 @@ int main(int argc, char** argv) {
     PrintUsage(argv[0]);
     return 2;
   }
-  // The daemon's histograms and exported counters live in the
-  // process-global registry — there is exactly one scrape surface.
-  Cli wired = cli;
-  wired.service.metrics = &amalgam::MetricsRegistry::Global();
-  amalgam::QueryService service(wired.service);
+  amalgam::QueryService service(cli.service);
   // Any daemon with a store gets a maintenance loop ({"op":"maintain"}
   // always works); the background thread and prewarm are opt-in flags.
   std::unique_ptr<amalgam::MaintenanceLoop> maintenance;
